@@ -906,31 +906,36 @@ FAMILY_NAMES = (
 )
 
 
+def _required(family, params, *keys):
+    """Values of required parameters; a missing one is a usage error."""
+    for key in keys:
+        if key not in params:
+            raise UsageError(
+                f"family '{family}' is missing required parameter '{key}'"
+            )
+    return [params[key] for key in keys]
+
+
 def make(surface, family, **params):
     """Build a family member from keyword parameters (CLI entry point)."""
     if family == "base":
         return conformal.base_metric(surface)
     if family == "shrinker":
-        return systole_shrinker(
-            surface,
-            surface.systole_geodesic(),
-            params["eps"],
-            params["delta"],
-        )
+        eps, delta = _required(family, params, "eps", "delta")
+        return systole_shrinker(surface, surface.systole_geodesic(), eps, delta)
     if family == "stretcher":
-        return diameter_stretcher(
-            surface, params.get("p", 0j), params["eps"], params["delta"]
-        )
+        eps, delta = _required(family, params, "eps", "delta")
+        return diameter_stretcher(surface, params.get("p", 0j), eps, delta)
     if family == "dumbbell":
+        eps, delta = _required(family, params, "eps", "delta")
         p = params.get("p")
         q = params.get("q")
         if p is None or q is None:
             p, q = default_dumbbell_anchors(surface)
-        return dumbbell(surface, p, q, params["eps"], params["delta"])
+        return dumbbell(surface, p, q, eps, delta)
     if family == "nonpositive_radial":
-        return nonpositive_radial(
-            surface, params.get("center", 0j), params["amplitude"]
-        )
+        (amplitude,) = _required(family, params, "amplitude")
+        return nonpositive_radial(surface, params.get("center", 0j), amplitude)
     if family == "cylinder":
         a = params.get("a", surface.systole / TWO_PI)
         return cylinder_profile(
@@ -952,28 +957,29 @@ def from_descriptor(doc, surface=None):
         return conformal.base_metric(surface)
     if family == "cylinder":
         return cylinder_profile(
-            params["a"], params["neck"], params["match_radius"]
+            *_required(family, params, "a", "neck", "match_radius")
         )
     if family not in FAMILY_NAMES:
         raise ParameterError(f"unknown family '{family}' in descriptor")
+    if "C" not in doc:
+        raise UsageError(f"descriptor of family '{family}' has no constant 'C'")
     C = doc["C"]
     if family == "shrinker":
-        return _build_shrinker(surface, params["eps"], params["delta"], C)
+        eps, delta = _required(family, params, "eps", "delta")
+        return _build_shrinker(surface, eps, delta, C)
     if family == "stretcher":
-        px, py = params["p"]
-        return _build_stretcher(
-            surface, complex(px, py), params["eps"], params["delta"], C
-        )
+        (px, py), eps, delta = _required(family, params, "p", "eps", "delta")
+        return _build_stretcher(surface, complex(px, py), eps, delta, C)
     if family == "dumbbell":
-        px, py = params["p"]
-        qx, qy = params["q"]
+        (px, py), (qx, qy), eps, delta = _required(
+            family, params, "p", "q", "eps", "delta"
+        )
         return _build_dumbbell(
-            surface, complex(px, py), complex(qx, qy),
-            params["eps"], params["delta"], C,
+            surface, complex(px, py), complex(qx, qy), eps, delta, C
         )
     if family == "nonpositive_radial":
-        cx, cy = params["center"]
+        (cx, cy), amplitude = _required(family, params, "center", "amplitude")
         return _build_nonpositive_radial(
-            surface, complex(cx, cy), params["amplitude"], C
+            surface, complex(cx, cy), amplitude, C
         )
     raise ParameterError(f"unknown family '{family}' in descriptor")

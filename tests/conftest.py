@@ -7,6 +7,9 @@ tests that need a different level build their own.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from conformal_lab import HyperbolicSurface, build_mesh
@@ -30,3 +33,13 @@ def mesh3(surface):
 @pytest.fixture(scope="session")
 def mesh4(surface):
     return build_mesh(surface.domain, 4)
+
+
+@pytest.fixture(scope="session")
+def disconnected_mesh3(mesh3):
+    """mesh3 with every edge at one representative vertex removed."""
+    cut = mesh3.rep[mesh3.edges[0, 0]]
+    keep = np.all(mesh3.rep[mesh3.edges] != cut, axis=1)
+    return dataclasses.replace(
+        mesh3, edges=mesh3.edges[keep], edge_len_sigma=mesh3.edge_len_sigma[keep]
+    )

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from conformal_lab import cli, geom
 from conformal_lab.cli import main
+from conformal_lab.conformal import base_metric
 
 
 def test_help_exits_zero():
@@ -119,6 +121,31 @@ def test_verify_cylinder_needs_no_mesh(tmp_path, capsys):
     assert main(["metric", "make", "--family", "cylinder", "--out", str(desc)]) == 0
     assert main(["verify", "--metric", str(desc)]) == 0
     assert "report PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("drop", ["delta", "C"])
+def test_verify_incomplete_descriptor_exit_two(tmp_path, capsys, drop):
+    desc = tmp_path / "shrinker.json"
+    assert main([
+        "metric", "make", "--family", "shrinker", "--eps", "0.2",
+        "--delta", "0.1", "--out", str(desc),
+    ]) == 0
+    doc = json.loads(desc.read_text())
+    del (doc if drop == "C" else doc["params"])[drop]
+    desc.write_text(json.dumps(doc))
+    assert main(["verify", "--metric", str(desc)]) == 2
+    err = capsys.readouterr().err
+    assert "'shrinker'" in err and f"'{drop}'" in err
+
+
+def test_disconnected_mesh_exit_three(surface, disconnected_mesh3, monkeypatch, capsys):
+    def diameter_command(args):
+        geom.diameter_estimate(base_metric(surface), disconnected_mesh3)
+        return 0
+
+    monkeypatch.setattr(cli, "_dispatch", diameter_command)
+    assert main(["mesh", "build", "--level", "0"]) == 3
+    assert "numeric error: mesh graph is disconnected" in capsys.readouterr().err
 
 
 def test_sweep_runs_small_grid(tmp_path, capsys):

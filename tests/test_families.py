@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conformal_lab import families
+from conformal_lab import conformal, families
 from conformal_lab.errors import ParameterError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
@@ -341,3 +341,26 @@ def test_from_descriptor_rejects_unknown_family(surface):
 def test_from_descriptor_rejects_bad_version(surface):
     with pytest.raises(UsageError):
         families.from_descriptor({"version": 0, "family": "base"}, surface=surface)
+
+
+@pytest.mark.parametrize(
+    "family, params, key",
+    [
+        ("shrinker", {"eps": 0.1}, "delta"),
+        ("stretcher", {"delta": 0.1}, "eps"),
+        ("dumbbell", {"eps": 0.1}, "delta"),
+        ("nonpositive_radial", {}, "amplitude"),
+    ],
+)
+def test_make_missing_parameter_names_family_and_key(surface, family, params, key):
+    with pytest.raises(UsageError, match=f"'{family}'.*'{key}'"):
+        families.make(surface, family, **params)
+
+
+def test_from_descriptor_missing_parameter_names_family_and_key(surface):
+    doc = conformal.to_descriptor(
+        families.make(surface, "shrinker", eps=0.2, delta=0.1)
+    )
+    del doc["params"]["delta"]
+    with pytest.raises(UsageError, match="'shrinker'.*'delta'"):
+        families.from_descriptor(doc, surface=surface)

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from conformal_lab import families, geom
+from conformal_lab import build_mesh, families, geom, report
 from conformal_lab.conformal import base_metric
-from conformal_lab.errors import DomainError, RangeError
+from conformal_lab.errors import DomainError, RangeError, TopologyError
 from conformal_lab.geom import (
     Curve,
     CylinderChart,
@@ -218,6 +222,64 @@ def test_stretcher_grows_diameter(surface, mesh3):
     d_wide = diameter_estimate(wide, mesh3, samples_per_edge=64)
     d_thin = diameter_estimate(thin, mesh3, samples_per_edge=64)
     assert d_thin > d_wide
+
+
+def _all_pairs_diameter(metric, mesh, samples_per_edge):
+    """Reference: the largest entry of the all-pairs distance matrix on the
+    graph diameter_estimate searches."""
+    weights = geom._edge_weights(metric, mesh, samples_per_edge)
+    r0 = mesh.rep[mesh.edges[:, 0]]
+    r1 = mesh.rep[mesh.edges[:, 1]]
+    lo = np.minimum(r0, r1)
+    hi = np.maximum(r0, r1)
+    keys = lo.astype(np.int64) * mesh.n_rep + hi
+    order = np.lexsort((weights, keys))
+    keys_sorted = keys[order]
+    first = np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])
+    sel = order[first]
+    graph = csr_matrix(
+        (weights[sel], (lo[sel], hi[sel])), shape=(mesh.n_rep, mesh.n_rep)
+    )
+    return float(dijkstra(graph, directed=False).max())
+
+
+def test_diameter_equals_all_pairs_on_default_grid(surface, mesh3):
+    for params in report.default_sweep_grid():
+        metric = families.make(surface, **params)
+        assert diameter_estimate(metric, mesh3, samples_per_edge=8) == (
+            _all_pairs_diameter(metric, mesh3, 8)
+        ), params
+
+
+def test_diameter_equals_all_pairs_at_level4(surface, mesh4):
+    members = [{"family": "base"}]
+    for params in report.default_sweep_grid():
+        if params["family"] not in {m["family"] for m in members}:
+            members.append(params)
+    assert len(members) == 5
+    for params in members:
+        metric = families.make(surface, **params)
+        assert diameter_estimate(metric, mesh4, samples_per_edge=8) == (
+            _all_pairs_diameter(metric, mesh4, 8)
+        ), params
+
+
+def test_diameter_rejects_disconnected_mesh(surface, disconnected_mesh3):
+    with pytest.raises(TopologyError, match="disconnected"):
+        diameter_estimate(base_metric(surface), disconnected_mesh3)
+
+
+def test_diameter_memory_is_linear(surface):
+    mesh5 = build_mesh(surface.domain, 5)
+    metric = families.make(surface, "shrinker", eps=0.1, delta=0.01)
+    tracemalloc.start()
+    try:
+        diameter_estimate(metric, mesh5, samples_per_edge=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tenth of the all-pairs distance matrix (13.4 MB at level 5)
+    assert peak < 8 * mesh5.n_rep**2 / 10
 
 
 def test_conjugate_free_diameter_bound_formula():

@@ -214,6 +214,19 @@ def test_sweep_cylinder_rows_record_error(surface, mesh3):
     assert row["area"] == ""
 
 
+def test_sweep_missing_parameter_records_row_error(surface, mesh3):
+    grid = [
+        {"family": "shrinker", "eps": 0.1},
+        {"family": "nonpositive_radial", "amplitude": 0.5},
+    ]
+    bad, good = sweep(surface, mesh3, grid=grid).rows
+    assert bad["error"].startswith("UsageError")
+    assert "'shrinker'" in bad["error"] and "'delta'" in bad["error"]
+    assert bad["area"] == ""
+    assert good["error"] == ""
+    assert good["diameter"] > 0.0
+
+
 def test_sweep_column_accessor(surface, mesh3):
     grid = [
         {"family": "nonpositive_radial", "amplitude": 0.25},
