@@ -13,20 +13,17 @@ import sys
 from . import conformal, entropy, families, report, spectral
 from .errors import (
     ConstructionError,
-    DomainError,
     LabError,
     MeshQualityError,
     NormalizationError,
     NumericError,
-    ParameterError,
     PrecisionError,
-    RangeError,
     TopologyError,
     UsageError,
 )
 from .surface import HyperbolicSurface, build_mesh
 
-USAGE_ERRORS = (ParameterError, UsageError, DomainError, RangeError)
+# every other LabError (parameters, usage, domain, range) exits 2
 NUMERIC_ERRORS = (
     NumericError,
     PrecisionError,
@@ -36,16 +33,15 @@ NUMERIC_ERRORS = (
     MeshQualityError,
 )
 
+#: top-level keys a sweep config may carry
+CONFIG_KEYS = ("version", "level", "grid", *report.DEFAULT_CONFIG)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conformal-lab",
         description="Constructive bounds for conformal deformations of a "
         "closed genus-2 hyperbolic surface.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="cap worker threads used by compiled kernels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,6 +102,9 @@ def load_config(path) -> dict:
         raise UsageError(f"config file {path} must carry a top-level version")
     if doc["version"] != 1:
         raise UsageError(f"unsupported config version {doc['version']!r}")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"config file {path} has unknown key {key!r}")
     return doc
 
 
@@ -133,22 +132,11 @@ def _cmd_mesh_build(args) -> int:
 
 def _cmd_metric_make(args) -> int:
     surface = HyperbolicSurface()
-    params = {}
-    if args.family in ("shrinker", "stretcher", "dumbbell"):
-        if args.eps is None or args.delta is None:
-            raise UsageError(f"family '{args.family}' needs --eps and --delta")
-        params.update(eps=args.eps, delta=args.delta)
-    elif args.family == "nonpositive_radial":
-        if args.amplitude is None:
-            raise UsageError("family 'nonpositive_radial' needs --amplitude")
-        params.update(amplitude=args.amplitude)
-    elif args.family == "cylinder":
-        if args.a is not None:
-            params.update(a=args.a)
-        if args.neck is not None:
-            params.update(neck=args.neck)
-        if args.match_radius is not None:
-            params.update(match_radius=args.match_radius)
+    params = {
+        key: getattr(args, key)
+        for key in ("eps", "delta", "amplitude", "a", "neck", "match_radius")
+        if getattr(args, key) is not None
+    }
     metric = families.make(surface, args.family, **params)
     doc = conformal.to_descriptor(metric)
     text = json.dumps(doc, indent=2) + "\n"
@@ -249,15 +237,6 @@ def _cmd_entropy_coding(args) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {args.threads}")
-        try:
-            import numba
-
-            numba.set_num_threads(args.threads)
-        except ImportError:
-            pass
     if args.command == "mesh":
         return _cmd_mesh_build(args)
     if args.command == "metric":
@@ -278,9 +257,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -15,13 +15,17 @@ exact (zone-quadrature) area functional, then freezes the constant into
 the emitted descriptor so reloads skip the solve.
 """
 
+import functools
 import math
+import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import accel, conformal
 from .errors import ConstructionError, DomainError, ParameterError, UsageError
+from .hyp import DiskPoint, MobiusTransform, _as_complex, disk_distance
 from .surface import HyperbolicSurface
 
 TWO_PI = 2.0 * math.pi
@@ -92,18 +96,6 @@ def _simpson_log(fn, lo, hi, n=2049):
     return float(simpson(fn(r) * r, x=x))
 
 
-def _coth_minus_inv(r):
-    """coth(r) - 1/r, stable near 0."""
-    r = np.asarray(r, dtype=float)
-    small = np.abs(r) < 1e-4
-    out = np.empty_like(r)
-    rs = r[small]
-    out[small] = rs / 3.0 - rs**3 / 45.0
-    rb = r[~small]
-    out[~small] = 1.0 / np.tanh(rb) - 1.0 / rb
-    return out
-
-
 def _dist_to_point(x, y, px, py):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -133,8 +125,6 @@ def _ray_points(anchor, radii):
     Radial profiles have rotationally symmetric curvature, so one ray
     samples every value the sign scan could see.
     """
-    from .hyp import MobiusTransform
-
     pts = MobiusTransform.origin_to(anchor).apply_many(
         np.tanh(0.5 * np.asarray(radii, dtype=float)).astype(complex)
     )
@@ -216,7 +206,7 @@ class ShrinkerField(conformal.ScalarField):
         return np.zeros_like(r), np.tanh(0.5 * r)
 
 
-def systole_shrinker(surface, gamma, eps, delta) -> conformal.ConformalMetric:
+def systole_shrinker(surface, gamma, eps, delta, C=None) -> conformal.ConformalMetric:
     """Metric that shrinks the systole geodesic to g-length eps."""
     sys_length = gamma.length
     if not 0.0 < eps <= sys_length:
@@ -235,17 +225,13 @@ def systole_shrinker(surface, gamma, eps, delta) -> conformal.ConformalMetric:
             f"the surface area {surface.total_area:.4f}"
         )
 
-    def area_of_C(C):
-        return ShrinkerField(sys_length, surface.total_area, eps, delta, C).exp_integral(2)
-
-    C = conformal.normalize_area(area_of_C, surface.total_area, -1.0, 1.0)
-    return _build_shrinker(surface, eps, delta, C)
-
-
-def _build_shrinker(surface, eps, delta, C):
-    field = ShrinkerField(surface.systole, surface.total_area, eps, delta, C)
+    field = functools.partial(ShrinkerField, sys_length, surface.total_area, eps, delta)
+    if C is None:
+        C = conformal.normalize_area(
+            lambda c: field(c).exp_integral(2), surface.total_area, -1.0, 1.0
+        )
     return conformal.make_metric(
-        surface, field, "shrinker", {"eps": eps, "delta": delta}, C
+        surface, field(C), "shrinker", {"eps": eps, "delta": delta}, C
     )
 
 
@@ -314,18 +300,15 @@ class _PowerSpike:
 
     # -- zone quadratures -------------------------------------------------
 
-    def _zones(self, lo_split=True):
-        r1, eps = self.r1, self.eps
-        zones = []
-        if lo_split:
-            zones.append((0.5 * r1, r1, "log"))
-        zones.append((r1, 0.5 * eps, "log"))
-        zones.append((0.5 * eps, eps, "lin"))
-        return zones
-
     def _integrate_zones(self, fn):
+        r1, eps = self.r1, self.eps
+        zones = (
+            (0.5 * r1, r1, "log"),
+            (r1, 0.5 * eps, "log"),
+            (0.5 * eps, eps, "lin"),
+        )
         total = 0.0
-        for lo, hi, kind in self._zones():
+        for lo, hi, kind in zones:
             if kind == "log":
                 total += _simpson_log(fn, lo, hi)
             else:
@@ -499,23 +482,19 @@ class StretcherField(conformal.ScalarField):
         return _ray_points(self.p, self.spike.probe_radii())
 
 
-def diameter_stretcher(surface, p, eps, delta) -> conformal.ConformalMetric:
+def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
     """Metric growing a long thin spike at p (diameter blows up as delta->0)."""
-    pz = complex(p.z) if hasattr(p, "z") else complex(p)
+    pz = _as_complex(p)
     _spike_checks(surface, eps, delta, [pz])
 
-    def area_of_C(C):
-        return StretcherField(surface.total_area, pz, eps, delta, C).exp_integral(2)
-
-    C = conformal.normalize_area_positive(area_of_C, surface.total_area, 1e-6, 10.0)
-    return _build_stretcher(surface, pz, eps, delta, C)
-
-
-def _build_stretcher(surface, pz, eps, delta, C):
-    field = StretcherField(surface.total_area, pz, eps, delta, C)
+    field = functools.partial(StretcherField, surface.total_area, pz, eps, delta)
+    if C is None:
+        C = conformal.normalize_area_positive(
+            lambda c: field(c).exp_integral(2), surface.total_area, 1e-6, 10.0
+        )
     return conformal.make_metric(
         surface,
-        field,
+        field(C),
         "stretcher",
         {"eps": eps, "delta": delta, "p": [pz.real, pz.imag]},
         C,
@@ -602,33 +581,31 @@ def default_dumbbell_anchors(surface):
     return complex(-half_x, 0.0), complex(half_x, 0.0)
 
 
-def dumbbell(surface, p, q, eps, delta) -> conformal.ConformalMetric:
-    """Metric with two stretched bulbs joined by a thin neck (lambda_1 -> 0)."""
-    pz = complex(p.z) if hasattr(p, "z") else complex(p)
-    qz = complex(q.z) if hasattr(q, "z") else complex(q)
-    _spike_checks(surface, eps, delta, [pz, qz])
-    from .hyp import DiskPoint, disk_distance
+def dumbbell(surface, p, q, eps, delta, C=None) -> conformal.ConformalMetric:
+    """Metric with two stretched bulbs joined by a thin neck (lambda_1 -> 0).
 
-    sep = disk_distance(DiskPoint(pz.real, pz.imag), DiskPoint(qz.real, qz.imag))
+    p = q = None places the spikes at the default anchors.
+    """
+    if p is None and q is None:
+        p, q = default_dumbbell_anchors(surface)
+    elif p is None or q is None:
+        raise UsageError("family 'dumbbell' needs both anchors 'p' and 'q' or neither")
+    pz, qz = _as_complex(p), _as_complex(q)
+    _spike_checks(surface, eps, delta, [pz, qz])
+    sep = disk_distance(pz, qz)
     if sep <= 2.0 * eps:
         raise ParameterError(
             f"anchors at distance {sep:.4f} overlap: need d(p, q) > 2 eps = {2 * eps}"
         )
 
-    def area_of_C(C):
-        return DumbbellField(
-            surface.total_area, pz, qz, eps, delta, C
-        ).exp_integral(2)
-
-    C = conformal.normalize_area_positive(area_of_C, surface.total_area, 1e-6, 10.0)
-    return _build_dumbbell(surface, pz, qz, eps, delta, C)
-
-
-def _build_dumbbell(surface, pz, qz, eps, delta, C):
-    field = DumbbellField(surface.total_area, pz, qz, eps, delta, C)
+    field = functools.partial(DumbbellField, surface.total_area, pz, qz, eps, delta)
+    if C is None:
+        C = conformal.normalize_area_positive(
+            lambda c: field(c).exp_integral(2), surface.total_area, 1e-6, 10.0
+        )
     return conformal.make_metric(
         surface,
-        field,
+        field(C),
         "dumbbell",
         {
             "eps": eps,
@@ -719,9 +696,9 @@ class RadialSlopeField(conformal.ScalarField):
         return float(simpson(lap * TWO_PI * np.sinh(r), x=r))
 
 
-def nonpositive_radial(surface, center, amplitude) -> conformal.ConformalMetric:
+def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.ConformalMetric:
     """Nonpositively curved test metric bulging around a center point."""
-    cz = complex(center.z) if hasattr(center, "z") else complex(center)
+    cz = _as_complex(center)
     if not 0.0 <= amplitude <= 1.0:
         raise ParameterError(
             f"amplitude must lie in [0, 1] for the sign certificate, got {amplitude}"
@@ -732,28 +709,24 @@ def nonpositive_radial(surface, center, amplitude) -> conformal.ConformalMetric:
             "origin so the support ball embeds"
         )
 
-    def area_of_C(C):
-        return RadialSlopeField(surface.total_area, cz, amplitude, C).exp_integral(2)
-
-    C = conformal.normalize_area(area_of_C, surface.total_area, -1.0, 1.0)
-    metric = _build_nonpositive_radial(surface, cz, amplitude, C)
+    field = functools.partial(RadialSlopeField, surface.total_area, cz, amplitude)
+    if C is None:
+        C = conformal.normalize_area(
+            lambda c: field(c).exp_integral(2), surface.total_area, -1.0, 1.0
+        )
+    metric = conformal.make_metric(
+        surface,
+        field(C),
+        "nonpositive_radial",
+        {"center": [cz.real, cz.imag], "amplitude": amplitude},
+        C,
+    )
     scan = metric.field.curvature_excess(np.linspace(0.0, RADIAL_SUPPORT + 0.1, 20001))
     if float(np.min(scan)) < -1e-12:
         raise ConstructionError(
             f"radial curvature constraint violated: min(1 + lap u) = {np.min(scan):.3e}"
         )
     return metric
-
-
-def _build_nonpositive_radial(surface, cz, amplitude, C):
-    field = RadialSlopeField(surface.total_area, cz, amplitude, C)
-    return conformal.make_metric(
-        surface,
-        field,
-        "nonpositive_radial",
-        {"center": [cz.real, cz.imag], "amplitude": amplitude},
-        C,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -896,90 +869,136 @@ def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
 # ---------------------------------------------------------------------------
 # registry
 
-FAMILY_NAMES = (
-    "base",
-    "shrinker",
-    "stretcher",
-    "dumbbell",
-    "nonpositive_radial",
-    "cylinder",
-)
+
+class Family(NamedTuple):
+    """How one family is built and which parameters it takes."""
+
+    build: Callable        # build(surface, **params[, C]) -> metric
+    required: tuple        # parameter names without a default
+    optional: dict         # parameter name -> default
+    stores_C: bool = True  # descriptors carry the normalization constant
 
 
-def _required(family, params, *keys):
-    """Values of required parameters; a missing one is a usage error."""
-    for key in keys:
+def _cylinder(surface, a, neck, match_radius):
+    a = surface.systole / TWO_PI if a is None else a
+    return cylinder_profile(a, 0.5 * a if neck is None else neck, match_radius)
+
+
+FAMILIES = {
+    "base": Family(conformal.base_metric, (), {}, stores_C=False),
+    "shrinker": Family(
+        lambda surface, eps, delta, C=None: systole_shrinker(
+            surface, surface.systole_geodesic(), eps, delta, C
+        ),
+        ("eps", "delta"),
+        {},
+    ),
+    "stretcher": Family(diameter_stretcher, ("eps", "delta"), {"p": 0j}),
+    "dumbbell": Family(dumbbell, ("eps", "delta"), {"p": None, "q": None}),
+    "nonpositive_radial": Family(
+        nonpositive_radial, ("amplitude",), {"center": 0j}
+    ),
+    "cylinder": Family(
+        _cylinder,
+        (),
+        {"a": None, "neck": None, "match_radius": 2.5},
+        stores_C=False,
+    ),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+#: parameters that are disk points; every other parameter is a real number
+POINT_PARAMS = ("p", "q", "center")
+
+
+def is_real(value):
+    """True for finite int and float values (numpy ones included), not bools."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _family(name):
+    spec = FAMILIES.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ParameterError(f"unknown family {name!r} (choose from {FAMILY_NAMES})")
+    return spec
+
+
+def _check_names(family, spec, params, complete):
+    """Unknown keys are usage errors, so are missing required ones (and,
+    when complete, missing optional ones)."""
+    names = (*spec.required, *spec.optional)
+    for key in params:
+        if key not in names:
+            raise UsageError(
+                f"family '{family}' takes no parameter '{key}' (it takes {names})"
+            )
+    for key in names if complete else spec.required:
         if key not in params:
             raise UsageError(
                 f"family '{family}' is missing required parameter '{key}'"
             )
-    return [params[key] for key in keys]
 
 
-def make(surface, family, **params):
-    """Build a family member from keyword parameters (CLI entry point)."""
-    if family == "base":
-        return conformal.base_metric(surface)
-    if family == "shrinker":
-        eps, delta = _required(family, params, "eps", "delta")
-        return systole_shrinker(surface, surface.systole_geodesic(), eps, delta)
-    if family == "stretcher":
-        eps, delta = _required(family, params, "eps", "delta")
-        return diameter_stretcher(surface, params.get("p", 0j), eps, delta)
-    if family == "dumbbell":
-        eps, delta = _required(family, params, "eps", "delta")
-        p = params.get("p")
-        q = params.get("q")
-        if p is None or q is None:
-            p, q = default_dumbbell_anchors(surface)
-        return dumbbell(surface, p, q, eps, delta)
-    if family == "nonpositive_radial":
-        (amplitude,) = _required(family, params, "amplitude")
-        return nonpositive_radial(surface, params.get("center", 0j), amplitude)
-    if family == "cylinder":
-        a = params.get("a", surface.systole / TWO_PI)
-        return cylinder_profile(
-            a, params.get("neck", 0.5 * a), params.get("match_radius", 2.5)
+def _checked(family, key, value):
+    """A finite real number; for a point key a complex, DiskPoint or [x, y]."""
+    if key not in POINT_PARAMS:
+        if is_real(value):
+            return value
+        raise UsageError(
+            f"family '{family}': parameter '{key}' must be a finite real number, "
+            f"got {value!r}"
         )
-    raise ParameterError(f"unknown family '{family}' (choose from {FAMILY_NAMES})")
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_real, value)):
+        value = complex(*value)
+    if isinstance(value, bool) or not isinstance(value, (DiskPoint, numbers.Number)):
+        raise UsageError(
+            f"family '{family}': point '{key}' must be a complex number or "
+            f"an [x, y] pair, got {value!r}"
+        )
+    return _as_complex(value)
+
+
+def make(surface, /, family, C=None, **params):
+    """Build a family member from keyword parameters.
+
+    This is the one place family parameters are checked: an unknown family
+    is a ParameterError; a missing or unknown key, or a value of the wrong
+    type, is a UsageError; a point outside the open unit disk is a
+    DomainError.  A stored normalization constant C skips the area solve.
+    """
+    spec = _family(family)
+    _check_names(family, spec, params, complete=False)
+    params = {key: _checked(family, key, value) for key, value in params.items()}
+    if C is not None:
+        if not spec.stores_C:
+            raise UsageError(f"family '{family}' takes no constant 'C'")
+        params["C"] = _checked(family, "C", C)
+    return spec.build(surface, **{**spec.optional, **params})
 
 
 def from_descriptor(doc, surface=None):
     """Rebuild a metric from its descriptor, reusing the stored constant."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"a descriptor is a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
     if version != 1:
         raise UsageError(f"unsupported descriptor version {version!r}")
-    if surface is None:
-        surface = HyperbolicSurface()
     family = doc.get("family")
+    spec = _family(family)
     params = doc.get("params", {})
-    if family == "base":
-        return conformal.base_metric(surface)
-    if family == "cylinder":
-        return cylinder_profile(
-            *_required(family, params, "a", "neck", "match_radius")
-        )
-    if family not in FAMILY_NAMES:
-        raise ParameterError(f"unknown family '{family}' in descriptor")
-    if "C" not in doc:
+    if not isinstance(params, dict):
+        raise UsageError(f"descriptor params of family '{family}' are not an object")
+    _check_names(family, spec, params, complete=True)
+    if spec.stores_C and doc.get("C") is None:
         raise UsageError(f"descriptor of family '{family}' has no constant 'C'")
-    C = doc["C"]
-    if family == "shrinker":
-        eps, delta = _required(family, params, "eps", "delta")
-        return _build_shrinker(surface, eps, delta, C)
-    if family == "stretcher":
-        (px, py), eps, delta = _required(family, params, "p", "eps", "delta")
-        return _build_stretcher(surface, complex(px, py), eps, delta, C)
-    if family == "dumbbell":
-        (px, py), (qx, qy), eps, delta = _required(
-            family, params, "p", "q", "eps", "delta"
-        )
-        return _build_dumbbell(
-            surface, complex(px, py), complex(qx, qy), eps, delta, C
-        )
-    if family == "nonpositive_radial":
-        (cx, cy), amplitude = _required(family, params, "center", "amplitude")
-        return _build_nonpositive_radial(
-            surface, complex(cx, cy), amplitude, C
-        )
-    raise ParameterError(f"unknown family '{family}' in descriptor")
+    return make(
+        surface if surface is not None else HyperbolicSurface(),
+        family,
+        C=doc["C"] if spec.stores_C else None,
+        **params,
+    )

@@ -317,21 +317,6 @@ def region_integral_u(metric, center, R, grid=(1024, 1024)):
     return lhs, rhs
 
 
-def circle_derivative_check(metric, center, rho, covering_number, n_theta=1024):
-    """(d/dr of the circle mean integral at rho, A N(rho) / sinh rho)."""
-    _check_embedded(center, rho, "circle")
-    h = 1e-4
-
-    def G(r):
-        pts = _circle_points(center, r, n_theta)
-        u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
-        return float(np.mean(u)) * TWO_PI
-
-    lhs = (G(rho + h) - G(rho - h)) / (2.0 * h)
-    rhs = metric.surface.total_area * covering_number / math.sinh(rho)
-    return lhs, rhs
-
-
 def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
     """|ball integral of lap u - flux through the boundary circle|.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ConstructionError, DomainError, PrecisionError, RangeError
 
 # Disk points this close to |z| = 1 are treated as numerically on the
-# boundary by mobius_apply.
+# boundary by MobiusTransform.apply.
 BOUNDARY_GUARD = 1e-14
 
 
@@ -184,11 +184,6 @@ class MobiusTransform:
                 f"transform is not hyperbolic (|trace| = {t} <= 2)"
             )
         return 2.0 * math.acosh(0.5 * t)
-
-
-def mobius_apply(T: MobiusTransform, p) -> DiskPoint:
-    """Apply a disk-preserving transform to a point."""
-    return T.apply(p)
 
 
 @dataclass(frozen=True)

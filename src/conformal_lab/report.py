@@ -338,12 +338,8 @@ def _conformal_entries(metric, mesh, cfg):
     if metric.family in ("stretcher", "dumbbell"):
         entries.append(_check(
             "radial_spike_length",
-            metric.field.radial_segment_length()
-            if metric.family == "stretcher"
-            else metric.field.spike.radial_segment_length(),
-            metric.field.radial_length_bound()
-            if metric.family == "stretcher"
-            else metric.field.spike.radial_length_bound(),
+            metric.field.spike.radial_segment_length(),
+            metric.field.spike.radial_length_bound(),
             ">=", quad, 0.0, True, "families._PowerSpike.radial_segment_length",
         ))
 
@@ -471,6 +467,10 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
     cfg = _merged_config(config)
     if grid is None:
         grid = default_sweep_grid()
+    if not isinstance(grid, (list, tuple)) or not all(
+        isinstance(entry, dict) for entry in grid
+    ):
+        raise UsageError("sweep grid must be a list of JSON objects")
     if not grid:
         raise UsageError("sweep grid is empty")
     gamma_curve = surface.systole_geodesic().curve(int(cfg["curve_samples"]))
@@ -483,7 +483,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
         row = {c: "" for c in SWEEP_COLUMNS}
         row["family"] = fam
         for key in ("eps", "delta", "amplitude"):
-            if key in params:
+            if families.is_real(params.get(key)):
                 row[key] = float(params[key])
         try:
             metric = families.make(surface, fam, **params)

@@ -89,9 +89,6 @@ class SpectralSystem:
     mesh: object
     metric: object
 
-    def mass_matrix(self) -> sp.dia_matrix:
-        return sp.diags(self.mass)
-
 
 def assemble(metric, mesh) -> SpectralSystem:
     """Stiffness plus exp(2u)-weighted lumped mass for a metric on a mesh."""

@@ -145,14 +145,6 @@ class SurfaceMesh:
                 idx[(min(i, j), max(i, j))] += 1
         return np.array([idx[tuple(e)] for e in self.edges.tolist()])
 
-    def rep_first_raw(self):
-        """First raw index realizing each representative."""
-        first = np.full(self.n_rep, -1, dtype=np.int64)
-        for i, r in enumerate(self.rep):
-            if first[r] < 0:
-                first[r] = i
-        return first
-
     def to_json(self) -> str:
         doc = {
             "version": 1,

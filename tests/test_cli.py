@@ -60,7 +60,17 @@ def test_metric_make_descriptor_roundtrip(tmp_path, capsys):
 
 def test_metric_make_missing_flags_exit_two(capsys):
     assert main(["metric", "make", "--family", "shrinker"]) == 2
-    assert "needs --eps and --delta" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'shrinker'" in err and "'eps'" in err
+
+
+def test_metric_make_rejects_flag_family_does_not_take(capsys):
+    assert main([
+        "metric", "make", "--family", "shrinker",
+        "--eps", "0.2", "--delta", "0.1", "--amplitude", "0.5",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "'shrinker'" in err and "'amplitude'" in err
 
 
 def test_metric_make_infeasible_exit_two(capsys):
@@ -184,6 +194,22 @@ def test_sweep_config_version_required(tmp_path, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"grid": [1]}, "list of JSON objects"),
+        ({"grid": {"family": "shrinker"}}, "list of JSON objects"),
+        ({"grid": [{"family": "base"}, "shrinker"]}, "list of JSON objects"),
+        ({"levle": 2}, "'levle'"),
+    ],
+)
+def test_sweep_config_shape_exit_two(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"version": 1, "level": 2, **extra}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_config_bad_json(tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text("{not json")
@@ -203,7 +229,3 @@ def test_entropy_coding_output(capsys):
 
 def test_entropy_coding_guard_exit_two(capsys):
     assert main(["entropy", "coding", "--volume", "0.01", "--dim", "2", "--rho", "1.0"]) == 2
-
-
-def test_threads_guard(capsys):
-    assert main(["--threads", "0", "mesh", "build", "--level", "0"]) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conformal_lab import conformal, families
-from conformal_lab.errors import ParameterError, UsageError
+from conformal_lab.errors import DomainError, ParameterError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
     MIN_SPIKE_DELTA,
@@ -355,6 +355,46 @@ def test_from_descriptor_rejects_bad_version(surface):
 def test_make_missing_parameter_names_family_and_key(surface, family, params, key):
     with pytest.raises(UsageError, match=f"'{family}'.*'{key}'"):
         families.make(surface, family, **params)
+
+
+@pytest.mark.parametrize(
+    "family, params, error, match",
+    [
+        ("shrinker", {"eps": 0.2, "delta": 0.1, "bogus": 1}, UsageError,
+         "'shrinker'.*'bogus'"),
+        ("shrinker", {"eps": "0.2", "delta": 0.1}, UsageError, "'shrinker'.*'eps'"),
+        ("stretcher", {"eps": 0.2, "delta": 0.1, "p": 1.2}, DomainError, "unit disk"),
+        ("dumbbell", {"eps": 0.2, "delta": 0.1, "p": -0.3 + 0j}, UsageError,
+         "'dumbbell'.*'q'"),
+    ],
+    ids=["unknown-key", "string-scalar", "point-outside-disk", "dumbbell-p-only"],
+)
+def test_make_rejects_bad_parameter(surface, family, params, error, match):
+    with pytest.raises(error, match=match):
+        families.make(surface, family, **params)
+
+
+def test_make_accepts_point_as_pair(surface):
+    pair = families.make(surface, "stretcher", eps=0.2, delta=0.1, p=[0.05, -0.02])
+    point = families.make(surface, "stretcher", eps=0.2, delta=0.1, p=0.05 - 0.02j)
+    assert conformal.to_descriptor(pair) == conformal.to_descriptor(point)
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc: {**doc, "params": {**doc["params"], "bogus": 1}}, UsageError),
+        (lambda doc: {**doc, "params": {**doc["params"], "p": 5}}, DomainError),
+        (lambda doc: [doc], UsageError),
+    ],
+    ids=["unknown-key", "point-outside-disk", "json-list"],
+)
+def test_from_descriptor_rejects_malformed_document(surface, edit, error):
+    doc = conformal.to_descriptor(
+        families.make(surface, "stretcher", eps=0.2, delta=0.1)
+    )
+    with pytest.raises(error):
+        families.from_descriptor(edit(doc), surface=surface)
 
 
 def test_from_descriptor_missing_parameter_names_family_and_key(surface):

@@ -227,6 +227,27 @@ def test_sweep_missing_parameter_records_row_error(surface, mesh3):
     assert good["diameter"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        # amplitude plays no part in a stretcher
+        ({"family": "stretcher", "eps": 0.2, "delta": 0.1, "amplitude": 0.75},
+         {"eps": 0.2, "delta": 0.1, "amplitude": 0.75}),
+        ({"family": "shrinker", "eps": "x", "delta": 0.1},
+         {"eps": "", "delta": 0.1, "amplitude": ""}),
+        # a key that is also the name of a make() argument
+        ({"family": "nonpositive_radial", "amplitude": 0.5, "surface": 1},
+         {"eps": "", "delta": "", "amplitude": 0.5}),
+    ],
+    ids=["key-of-other-family", "string-scalar", "surface-key"],
+)
+def test_sweep_malformed_entry_records_row_error(surface, mesh3, entry, shown):
+    (row,) = sweep(surface, mesh3, grid=[entry]).rows
+    assert row["error"].startswith("UsageError")
+    assert row["area"] == ""
+    assert {key: row[key] for key in shown} == shown
+
+
 def test_sweep_column_accessor(surface, mesh3):
     grid = [
         {"family": "nonpositive_radial", "amplitude": 0.25},
