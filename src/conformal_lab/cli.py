@@ -37,6 +37,21 @@ NUMERIC_ERRORS = (
 CONFIG_KEYS = ("version", "level", "grid", *report.DEFAULT_CONFIG)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: the test a config value must pass, and how to name it; version and
+#: grid are checked on their own
+CONFIG_VALUES = {
+    **dict.fromkeys(("level", "k", "samples_per_edge", "curve_samples"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("slack_exact", "slack_quad", "slack_mesh"),
+                    (families.is_real, "a finite real number")),
+    "embed_timestamp": (lambda value: isinstance(value, bool), "true or false"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conformal-lab",
@@ -102,9 +117,12 @@ def load_config(path) -> dict:
         raise UsageError(f"config file {path} must carry a top-level version")
     if doc["version"] != 1:
         raise UsageError(f"unsupported config version {doc['version']!r}")
-    for key in doc:
+    for key, value in doc.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"config file {path} has unknown key {key!r}")
+        check, kind = CONFIG_VALUES.get(key, (None, None))
+        if check is not None and not check(value):
+            raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
     return doc
 
 

@@ -172,20 +172,14 @@ def base_metric(surface: HyperbolicSurface) -> ConformalMetric:
 def normalize_area(area_of_C, target, lo, hi, *, tol=1e-10, max_iter=200):
     """Solve area(C) = target for the normalization constant by bisection.
 
-    area_of_C must be continuous and increasing on [lo, hi]; the bracket
-    is expanded geometrically if it does not straddle the target.
+    area_of_C must be continuous and increasing on [lo, hi], and the bracket
+    must straddle the target.  The shrinker bisects on its zone quadrature;
+    the radial family on e^{2C} times its C-free area.  The spike families
+    (stretcher, dumbbell) have a quadratic area and use
+    normalize_area_quadratic instead.
     """
     f_lo = area_of_C(lo) - target
     f_hi = area_of_C(hi) - target
-    grow = 0
-    while f_lo > 0.0 and grow < 60:
-        lo -= max(1.0, hi - lo)
-        f_lo = area_of_C(lo) - target
-        grow += 1
-    while f_hi < 0.0 and grow < 120:
-        hi += max(1.0, hi - lo)
-        f_hi = area_of_C(hi) - target
-        grow += 1
     if f_lo > 0.0 or f_hi < 0.0:
         raise NormalizationError(
             f"no normalization bracket: area({lo})={f_lo + target}, "
@@ -211,22 +205,27 @@ def normalize_area(area_of_C, target, lo, hi, *, tol=1e-10, max_iter=200):
     )
 
 
-def normalize_area_positive(area_of_C, target, lo, hi, *, tol=1e-14, max_iter=200):
-    """normalize_area variant for constants constrained to (0, inf).
+def normalize_area_quadratic(area_of_C, target):
+    """Positive root C of area(C) = target for an area quadratic in C.
 
-    Bisects in log C so the bracket can shrink toward 0 without crossing it.
+    The spike families have conformal factor rho = pe*bv + (1 - pe)*C with
+    pe and bv free of C, and Simpson's rule is linear in the integrand, so
+    their area is exactly a*C^2 + b*C + c0 with a > 0 and b >= 0.  The
+    values at C = 0 and C = +-1 fix the coefficients; the root is taken as
+    2|c| / (b + sqrt(b^2 + 4a|c|)), c = c0 - target, which does not cancel.
+    An area(0) at or above the target leaves no positive root.
     """
-    if lo <= 0.0 or hi <= lo:
-        raise DomainError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-    log_C = normalize_area(
-        lambda t: area_of_C(math.exp(t)),
-        target,
-        math.log(lo),
-        math.log(hi),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    return math.exp(log_C)
+    c0 = area_of_C(0.0)
+    if not c0 < target:
+        raise NormalizationError(
+            f"no positive normalization constant: area(0)={c0} >= target={target}"
+        )
+    plus = area_of_C(1.0)
+    minus = area_of_C(-1.0)
+    a = 0.5 * (plus + minus) - c0
+    b = 0.5 * (plus - minus)
+    gap = target - c0
+    return 2.0 * gap / (b + math.sqrt(b * b + 4.0 * a * gap))
 
 
 def total_area(metric, mesh=None, method="auto"):

@@ -10,9 +10,15 @@ with s1 = (a - |t|)/(a/2) and s2 = (|t| - a/2)/(a/2): identically 1 on
 [-a/2, a/2], identically 0 outside (-a, a).  Its first two derivatives
 come from the same closed forms, so curvature formulas are analytic.
 
-Each family solves for its normalization constant by bisection on the
-exact (zone-quadrature) area functional, then freezes the constant into
-the emitted descriptor so reloads skip the solve.
+Each family solves area(C) = area(sigma) for its normalization constant on
+the exact (zone-quadrature) area functional, then freezes the constant
+into the emitted descriptor so reloads skip the solve:
+
+- shrinker: bisection on the collar quadrature;
+- stretcher, dumbbell: the area is quadratic in C, so three quadratures
+  and the positive root (conformal.normalize_area_quadratic);
+- nonpositive_radial: the area is e^{2C} times the area at C = 0, so one
+  quadrature and a bisection on that product.
 """
 
 import functools
@@ -23,9 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from . import accel, conformal
+from . import conformal
 from .errors import ConstructionError, DomainError, ParameterError, UsageError
-from .hyp import DiskPoint, MobiusTransform, _as_complex, disk_distance
+from .hyp import DiskPoint, MobiusTransform, _as_complex, disk_distance, pair_distances
 from .surface import HyperbolicSurface
 
 TWO_PI = 2.0 * math.pi
@@ -102,7 +108,7 @@ def _dist_to_point(x, y, px, py):
     shape = np.broadcast(x, y).shape
     xf = np.broadcast_to(x, shape).ravel()
     yf = np.broadcast_to(y, shape).ravel()
-    d = accel.pair_distances(
+    d = pair_distances(
         xf, yf, np.full(xf.shape, px), np.full(yf.shape, py)
     )
     return d.reshape(shape)
@@ -489,8 +495,8 @@ def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMet
 
     field = functools.partial(StretcherField, surface.total_area, pz, eps, delta)
     if C is None:
-        C = conformal.normalize_area_positive(
-            lambda c: field(c).exp_integral(2), surface.total_area, 1e-6, 10.0
+        C = conformal.normalize_area_quadratic(
+            lambda c: field(c).exp_integral(2), surface.total_area
         )
     return conformal.make_metric(
         surface,
@@ -600,8 +606,8 @@ def dumbbell(surface, p, q, eps, delta, C=None) -> conformal.ConformalMetric:
 
     field = functools.partial(DumbbellField, surface.total_area, pz, qz, eps, delta)
     if C is None:
-        C = conformal.normalize_area_positive(
-            lambda c: field(c).exp_integral(2), surface.total_area, 1e-6, 10.0
+        C = conformal.normalize_area_quadratic(
+            lambda c: field(c).exp_integral(2), surface.total_area
         )
     return conformal.make_metric(
         surface,
@@ -711,8 +717,10 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 
     field = functools.partial(RadialSlopeField, surface.total_area, cz, amplitude)
     if C is None:
+        # area(C) = e^{2C} * area(0) exactly, so the table is built once
+        area0 = field(0.0).exp_integral(2)
         C = conformal.normalize_area(
-            lambda c: field(c).exp_integral(2), surface.total_area, -1.0, 1.0
+            lambda c: math.exp(2 * c) * area0, surface.total_area, -1.0, 1.0
         )
     metric = conformal.make_metric(
         surface,

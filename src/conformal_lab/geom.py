@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accel
 from .errors import DomainError, RangeError, TopologyError
-from .hyp import MobiusTransform
+from .hyp import MobiusTransform, pair_distances
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +89,7 @@ def _segment_data(metric, curve):
     pts = curve.samples
     _check_in_disk(pts)
     a, b = pts[:-1], pts[1:]
-    seg = accel.pair_distances(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    seg = pair_distances(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
     mid = 0.5 * (a + b)
     u_mid = np.asarray(metric.u_at(mid[:, 0], mid[:, 1]), dtype=float)
     return seg, u_mid

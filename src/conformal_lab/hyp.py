@@ -1,4 +1,5 @@
-"""Poincare disk primitives: points, distances, Mobius maps, polar charts.
+"""Poincare disk primitives: points, distances, Mobius maps, and the batch
+distance and triangle-area kernels that every mesh quantity goes through.
 
 Conventions. The disk carries the metric (2 / (1 - |z|^2))^2 |dz|^2, which
 has constant Gaussian curvature -1.  Distances are d(a, b) =
@@ -15,7 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionError, DomainError, PrecisionError, RangeError
+import numpy as np
+
+from .errors import ConstructionError, DomainError, PrecisionError
 
 # Disk points this close to |z| = 1 are treated as numerically on the
 # boundary by MobiusTransform.apply.
@@ -186,84 +189,50 @@ class MobiusTransform:
         return 2.0 * math.acosh(0.5 * t)
 
 
-@dataclass(frozen=True)
-class PolarChart:
-    """Geodesic polar coordinates (r, theta) about a center point.
+def pair_distances(ax, ay, bx, by):
+    """Hyperbolic distances between point arrays in the unit disk.
 
-    r is the hyperbolic distance from the center; theta is the direction,
-    measured after translating the center to the origin.
+    Uses d = 2 artanh |a - b| / |1 - conj(a) b| on disk coordinates,
+    the curvature -1 normalization.
     """
-
-    center: DiskPoint
-    max_radius: float
-    grid: tuple = (1024, 1024)
-
-    def __post_init__(self):
-        if not self.max_radius > 0:
-            raise DomainError(f"max_radius must be positive, got {self.max_radius}")
-        n_r, n_t = self.grid
-        if n_r < 8 or n_t < 8:
-            raise DomainError(f"grid {self.grid} too coarse, need at least 8x8")
-
-    def _translate(self) -> MobiusTransform:
-        return MobiusTransform.origin_to(self.center)
-
-    def to_disk_z(self, r, theta):
-        """Disk coordinate(s) of chart point(s); r, theta may be arrays."""
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0) or np.any(r > self.max_radius):
-            raise RangeError("radius outside chart")
-        w = np.tanh(0.5 * r) * np.exp(1j * np.asarray(theta, dtype=float))
-        return self._translate().apply_many(w)
-
-    def to_disk(self, r: float, theta: float) -> DiskPoint:
-        z = complex(self.to_disk_z(r, theta))
-        return DiskPoint(z.real, z.imag)
-
-    def from_disk(self, p) -> tuple:
-        """Chart coordinates (r, theta) of a disk point."""
-        z = _as_complex(p)
-        w = self._translate().inverse().apply_z(z)
-        r = 2.0 * math.atanh(abs(w))
-        if r > self.max_radius:
-            raise RangeError(f"point at radius {r} outside chart ({self.max_radius})")
-        return r, cmath.phase(w) if abs(w) > 0 else 0.0
+    ax = np.ascontiguousarray(ax, dtype=np.float64)
+    ay = np.ascontiguousarray(ay, dtype=np.float64)
+    bx = np.ascontiguousarray(bx, dtype=np.float64)
+    by = np.ascontiguousarray(by, dtype=np.float64)
+    dx = bx - ax
+    dy = by - ay
+    num = dx * dx + dy * dy
+    re = 1.0 - ax * bx - ay * by
+    im = ax * by - ay * bx
+    den = re * re + im * im
+    t = np.sqrt(num / den)
+    return 2.0 * np.arctanh(t)
 
 
-def polar_laplacian(field, chart: PolarChart, r: float, theta: float, h: float = 1e-3) -> float:
-    """Central-difference Laplacian of field(r, theta) in a polar chart.
+def _corner_angles(za, zb, zc):
+    # Translate za to the origin; geodesics through 0 are straight, so the
+    # corner angle is the Euclidean angle between the translated images.
+    u = (zb - za) / (1.0 - np.conj(za) * zb)
+    v = (zc - za) / (1.0 - np.conj(za) * zc)
+    dot = u.real * v.real + u.imag * v.imag
+    norm = np.abs(u) * np.abs(v)
+    return np.arccos(np.clip(dot / norm, -1.0, 1.0))
 
-    The stencil is O(h^2).  For r < 10 h the coth r coefficient is stiff,
-    so the five-point Euclidean-limit stencil on local Cartesian offsets is
-    used instead (the metric is Euclidean to O(r^2) near the center).
+
+def tri_areas(x, y, tris):
+    """Hyperbolic areas of geodesic triangles via the angle deficit.
+
+    Each row of ``tris`` indexes three disk points; the area is
+    pi - (sum of the three corner angles), exact for geodesic sides.
     """
-    if r < 0 or r > chart.max_radius:
-        raise RangeError(f"evaluation radius {r} outside chart")
-    if r < 10.0 * h:
-        # Local Cartesian coordinates (xi, eta) = (r cos t, r sin t).
-        xi = r * math.cos(theta)
-        eta = r * math.sin(theta)
-
-        def at(x, y):
-            rr = math.hypot(x, y)
-            tt = math.atan2(y, x)
-            return field(rr, tt)
-
-        c = field(r, theta)
-        return (
-            at(xi + h, eta) + at(xi - h, eta) + at(xi, eta + h) + at(xi, eta - h) - 4.0 * c
-        ) / (h * h)
-    if r - h <= 0 or r + h > chart.max_radius:
-        raise RangeError("finite-difference stencil leaves the chart")
-    f0 = field(r, theta)
-    frp = field(r + h, theta)
-    frm = field(r - h, theta)
-    ftp = field(r, theta + h)
-    ftm = field(r, theta - h)
-    f_rr = (frp - 2.0 * f0 + frm) / (h * h)
-    f_r = (frp - frm) / (2.0 * h)
-    f_tt = (ftp - 2.0 * f0 + ftm) / (h * h)
-    sh = math.sinh(r)
-    return f_rr + (math.cosh(r) / sh) * f_r + f_tt / (sh * sh)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    tris = np.ascontiguousarray(tris, dtype=np.int64)
+    z = x + 1j * y
+    za = z[tris[:, 0]]
+    zb = z[tris[:, 1]]
+    zc = z[tris[:, 2]]
+    ang = _corner_angles(za, zb, zc)
+    ang += _corner_angles(zb, zc, za)
+    ang += _corner_angles(zc, za, zb)
+    return np.pi - ang

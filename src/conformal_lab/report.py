@@ -486,6 +486,11 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
             if families.is_real(params.get(key)):
                 row[key] = float(params[key])
         try:
+            if "C" in params:
+                raise UsageError(
+                    f"grid entry {spec_params!r} takes no key 'C': the "
+                    "normalization constant is solved, not given"
+                )
             metric = families.make(surface, fam, **params)
             if not isinstance(metric, conformal.ConformalMetric):
                 raise UsageError(

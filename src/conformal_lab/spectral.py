@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     UsageError,
 )
+from .hyp import pair_distances
 
 log = logging.getLogger(__name__)
 
@@ -269,12 +270,10 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
 
 
 def _distances_to(mesh, anchor):
-    from . import accel
-
     n = mesh.n_raw
     ax = np.full(n, anchor.real)
     ay = np.full(n, anchor.imag)
-    return accel.pair_distances(mesh.xy[:, 0], mesh.xy[:, 1], ax, ay)
+    return pair_distances(mesh.xy[:, 0], mesh.xy[:, 1], ax, ay)
 
 
 @dataclass(frozen=True)

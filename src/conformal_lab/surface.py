@@ -23,9 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import accel
 from .errors import DomainError, MeshQualityError, TopologyError
-from .hyp import DiskPoint, MobiusTransform, hyperbolic_midpoint
+from .hyp import (
+    DiskPoint,
+    MobiusTransform,
+    hyperbolic_midpoint,
+    pair_distances,
+    tri_areas,
+)
 
 GLUE_TOL = 1e-9  # spatial tolerance for matching pairing images to vertices
 
@@ -79,7 +84,7 @@ def build_octagon_domain() -> FundamentalDomain:
     x = np.array([z.real for z in verts] + [0.0])
     y = np.array([z.imag for z in verts] + [0.0])
     fan = np.array([[8, k, (k + 1) % 8] for k in range(8)])
-    area = float(np.sum(accel.tri_areas(x, y, fan)))
+    area = float(np.sum(tri_areas(x, y, fan)))
 
     return FundamentalDomain(
         vertices=vertices,
@@ -281,12 +286,12 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
         edge_set.add((min(c, a), max(c, a)))
     edges = np.array(sorted(edge_set), dtype=np.int64)
 
-    areas = accel.tri_areas(xy[:, 0], xy[:, 1], tris_arr)
+    areas = tri_areas(xy[:, 0], xy[:, 1], tris_arr)
     if not np.all(np.isfinite(areas)) or areas.min() <= 1e-14:
         raise MeshQualityError(
             f"degenerate triangle: min angle-deficit area {areas.min():.3e}"
         )
-    lengths = accel.pair_distances(
+    lengths = pair_distances(
         xy[edges[:, 0], 0], xy[edges[:, 0], 1], xy[edges[:, 1], 0], xy[edges[:, 1], 1]
     )
 

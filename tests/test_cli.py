@@ -201,6 +201,14 @@ def test_sweep_config_version_required(tmp_path, capsys):
         ({"grid": {"family": "shrinker"}}, "list of JSON objects"),
         ({"grid": [{"family": "base"}, "shrinker"]}, "list of JSON objects"),
         ({"levle": 2}, "'levle'"),
+        ({"level": "x"}, "'level' must be an integer"),
+        ({"level": 2.0}, "'level' must be an integer"),
+        ({"k": True}, "'k' must be an integer"),
+        ({"samples_per_edge": None}, "'samples_per_edge' must be an integer"),
+        ({"curve_samples": "x"}, "'curve_samples' must be an integer"),
+        ({"slack_quad": float("inf")}, "'slack_quad' must be a finite real number"),
+        ({"slack_mesh": "0.05"}, "'slack_mesh' must be a finite real number"),
+        ({"embed_timestamp": 1}, "'embed_timestamp' must be true or false"),
     ],
 )
 def test_sweep_config_shape_exit_two(tmp_path, capsys, extra, message):

@@ -16,11 +16,40 @@ from conformal_lab.conformal import (
     gaussian_curvature,
     make_metric,
     nonpositivity_check,
+    normalize_area_quadratic,
     schwarz_upper_bound,
     to_descriptor,
     total_area,
 )
 from conformal_lab.errors import DomainError, NormalizationError, UsageError
+
+
+@pytest.mark.parametrize(
+    "a, b, c0, target",
+    [
+        (12.405180668463148, 0.055373746157503234, 1.992690136902996, 4.0 * math.pi),
+        (12.52613928953338, 0.005942228596246046, 1.9780731905182234, 4.0 * math.pi),
+        (1.0, 0.0, 0.0, 4.0 * math.pi),
+        (9.5, 5.0, 1e-3, 4.0 * math.pi),
+        (1e-3, 12.0, 0.5, 4.0 * math.pi),   # nearly linear
+        (2.0, 3.0, 12.5, 4.0 * math.pi),    # root near 0
+    ],
+)
+def test_quadratic_normalization_hits_target(a, b, c0, target):
+    # the first two rows are the dumbbell's coefficients at eps=0.2,
+    # delta=0.2 and eps=0.1, delta=0.01
+    def area(C):
+        return a * C * C + b * C + c0
+
+    C = normalize_area_quadratic(area, target)
+    assert C > 0.0
+    assert abs(area(C) - target) <= 1e-14 * target
+
+
+@pytest.mark.parametrize("c0", [4.0 * math.pi, 20.0, math.nan])
+def test_quadratic_normalization_needs_area_below_target(c0):
+    with pytest.raises(NormalizationError):
+        normalize_area_quadratic(lambda C: C * C + C + c0, 4.0 * math.pi)
 
 
 def test_base_metric_facts(surface):

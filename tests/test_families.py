@@ -241,6 +241,22 @@ def test_radial_area_normalized(surface):
         assert metric.area == pytest.approx(4.0 * math.pi, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "amp, center", [(0.0, 0j), (0.25, 0j), (0.5, 0j), (0.75, 0j), (1.0, 0j),
+                    (0.6, 0.05 - 0.1j)]
+)
+def test_radial_constant_matches_full_field_bisection(surface, amp, center):
+    # The family bisects on e^{2C} times its area at C = 0; the oracle
+    # rebuilds the whole field at every step.  Both must give the same bits.
+    area = surface.total_area
+    oracle = conformal.normalize_area(
+        lambda c: families.RadialSlopeField(area, center, amp, c).exp_integral(2),
+        area, -1.0, 1.0,
+    )
+    metric = families.make(surface, "nonpositive_radial", amplitude=amp, center=center)
+    assert metric.C == oracle
+
+
 def test_radial_amplitude_guards(surface):
     with pytest.raises(ParameterError):
         families.make(surface, "nonpositive_radial", amplitude=-0.1)

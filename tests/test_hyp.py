@@ -1,4 +1,4 @@
-"""Disk-model primitives: distance, isometries, polar charts."""
+"""Disk-model primitives: distance, isometries, batch distance and area kernels."""
 
 from __future__ import annotations
 
@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conformal_lab.errors import ConstructionError, DomainError, PrecisionError, RangeError
+from conformal_lab.errors import ConstructionError, DomainError, PrecisionError
 from conformal_lab.hyp import (
     DiskPoint,
     MobiusTransform,
-    PolarChart,
     ball_area_hyp,
     disk_distance,
     hyperbolic_midpoint,
+    pair_distances,
     poincare_factor,
-    polar_laplacian,
+    tri_areas,
 )
 
 
@@ -127,42 +127,42 @@ def test_apply_guards_boundary_images():
         T.apply(DiskPoint(0.9999, 0.0))
 
 
-def test_polar_chart_roundtrip():
-    chart = PolarChart(DiskPoint(0.2, -0.1), max_radius=3.0)
-    for r, theta in [(0.5, 0.3), (2.0, -1.2), (2.9, 3.0)]:
-        p = chart.to_disk(r, theta)
-        r2, t2 = chart.from_disk(p)
-        assert r2 == pytest.approx(r, rel=1e-12)
-        assert math.remainder(t2 - theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
+def _random_cloud(n, seed):
+    rng = np.random.default_rng(seed)
+    r = 0.85 * np.sqrt(rng.random(n))
+    t = 2.0 * np.pi * rng.random(n)
+    return r * np.cos(t), r * np.sin(t)
 
 
-def test_polar_chart_rejects_radius_outside():
-    chart = PolarChart(DiskPoint(0.0, 0.0), max_radius=1.0)
-    with pytest.raises(RangeError):
-        chart.to_disk(1.5, 0.0)
-    with pytest.raises(RangeError):
-        chart.from_disk(0.9 + 0j)
+def test_pair_distances_match_scalar_reference():
+    ax, ay = _random_cloud(64, seed=1)
+    bx, by = _random_cloud(64, seed=2)
+    out = pair_distances(ax, ay, bx, by)
+    for i in range(0, 64, 7):
+        ref = disk_distance(complex(ax[i], ay[i]), complex(bx[i], by[i]))
+        assert out[i] == pytest.approx(ref, rel=1e-14)
 
 
-def test_polar_laplacian_of_harmonic_field():
-    # log tanh(r/2) is the Green kernel away from its pole: Laplacian zero.
-    chart = PolarChart(DiskPoint(0.1, 0.2), max_radius=4.0)
+def test_tri_area_of_ideal_limit_is_below_pi():
+    # Hyperbolic triangle area = pi - angle sum < pi always.
+    s = 0.97
+    x = np.array([s, -0.5 * s, -0.5 * s])
+    y = np.array([0.0, s * math.sqrt(3) / 2, -s * math.sqrt(3) / 2])
+    tris = np.array([[0, 1, 2]])
+    area = tri_areas(x, y, tris)[0]
+    assert 0.0 < area < math.pi
+    assert area > 2.5  # nearly ideal for vertices this close to the boundary
 
-    def g(r, theta):
-        return math.log(math.tanh(0.5 * max(r, 1e-300)))
 
-    val = polar_laplacian(g, chart, 1.3, 0.7, h=1e-4)
-    assert abs(val) < 1e-5
-
-
-def test_polar_laplacian_near_center_uses_euclidean_stencil():
-    chart = PolarChart(DiskPoint(0.0, 0.0), max_radius=2.0)
-
-    def quad(r, theta):
-        x = r * math.cos(theta)
-        y = r * math.sin(theta)
-        return x * x + y * y
-
-    # Euclidean Laplacian of x^2+y^2 is 4; at r ~ 0 the metric is Euclidean.
-    val = polar_laplacian(quad, chart, 1e-5, 0.0, h=1e-3)
-    assert val == pytest.approx(4.0, rel=1e-4)
+def test_tri_area_equilateral_known_value():
+    # Equilateral triangle with vertices at disk radius 0.5: the angle at
+    # each corner follows from the hyperbolic law of cosines; area is the
+    # angle defect pi - 3 alpha.
+    rho = 0.5
+    x = np.array([rho, -0.5 * rho, -0.5 * rho])
+    y = np.array([0.0, rho * math.sqrt(3) / 2, -rho * math.sqrt(3) / 2])
+    side = disk_distance(complex(x[0], y[0]), complex(x[1], y[1]))
+    ch = math.cosh(side)
+    alpha = math.acos(ch / (ch + 1.0))
+    area = tri_areas(x, y, np.array([[0, 1, 2]]))[0]
+    assert area == pytest.approx(math.pi - 3.0 * alpha, rel=1e-12)

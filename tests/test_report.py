@@ -238,8 +238,11 @@ def test_sweep_missing_parameter_records_row_error(surface, mesh3):
         # a key that is also the name of a make() argument
         ({"family": "nonpositive_radial", "amplitude": 0.5, "surface": 1},
          {"eps": "", "delta": "", "amplitude": 0.5}),
+        # the constant is solved for, never given
+        ({"family": "nonpositive_radial", "amplitude": 0.5, "C": 0.3},
+         {"eps": "", "delta": "", "amplitude": 0.5}),
     ],
-    ids=["key-of-other-family", "string-scalar", "surface-key"],
+    ids=["key-of-other-family", "string-scalar", "surface-key", "constant-key"],
 )
 def test_sweep_malformed_entry_records_row_error(surface, mesh3, entry, shown):
     (row,) = sweep(surface, mesh3, grid=[entry]).rows
