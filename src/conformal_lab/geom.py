@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError, TopologyError
-from .hyp import MobiusTransform, pair_distances
+from .hyp import MobiusTransform, _as_complex, pair_distances
 
 TWO_PI = 2.0 * math.pi
+RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
 
 
 @dataclass
@@ -260,7 +261,7 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
 
 
 def _circle_points(center, R, n_theta):
-    cz = complex(center.z) if hasattr(center, "z") else complex(center)
+    cz = _as_complex(center)
     theta = np.arange(n_theta) * (TWO_PI / n_theta)
     ring = math.tanh(0.5 * R) * np.exp(1j * theta)
     T = MobiusTransform.origin_to(cz)
@@ -268,7 +269,7 @@ def _circle_points(center, R, n_theta):
 
 
 def _check_embedded(center, R, label):
-    cz = complex(center.z) if hasattr(center, "z") else complex(center)
+    cz = _as_complex(center)
     in_radius = math.acosh(1.0 + math.sqrt(2.0))
     if R <= 0.0:
         raise RangeError(f"{label} radius must be positive, got {R}")
@@ -301,14 +302,20 @@ def region_integral_u(metric, center, R, grid=(1024, 1024)):
     """
     _check_embedded(center, R, "ball")
     n_r, n_t = grid
-    cz = complex(center.z) if hasattr(center, "z") else complex(center)
+    cz = _as_complex(center)
     r = np.linspace(0.0, R, n_r)
     theta = np.arange(n_t) * (TWO_PI / n_t)
-    ring = np.tanh(0.5 * r)[:, None] * np.exp(1j * theta)[None, :]
+    circle = np.exp(1j * theta)
     T = MobiusTransform.origin_to(cz)
-    pts = T.apply_many(ring.ravel()).reshape(ring.shape)
-    u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
-    ring_means = np.mean(u, axis=1) * TWO_PI
+    # each ring's mean is its own row reduction, so blocks of rings give
+    # the same bits as the whole grid in bounded memory
+    ring_means = np.empty(n_r)
+    for lo in range(0, n_r, RING_BLOCK):
+        ring = np.tanh(0.5 * r[lo:lo + RING_BLOCK])[:, None] * circle[None, :]
+        pts = T.apply_many(ring.ravel()).reshape(ring.shape)
+        u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
+        ring_means[lo:lo + RING_BLOCK] = np.mean(u, axis=1)
+    ring_means *= TWO_PI
     lhs = float(np.trapezoid(ring_means * np.sinh(r), r))
     rhs = -TWO_PI - 4.0 * math.pi * (
         (math.cosh(R) + 1.0) * math.log(math.cosh(0.5 * R)) - 0.5 * math.cosh(R)
@@ -328,7 +335,7 @@ def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
     h = rho / n_r
     r_ext = np.linspace(0.0, rho + h, n_r + 2)
     theta = np.arange(n_t) * (TWO_PI / n_t)
-    cz = complex(center.z) if hasattr(center, "z") else complex(center)
+    cz = _as_complex(center)
     ring = np.tanh(0.5 * r_ext)[:, None] * np.exp(1j * theta)[None, :]
     T = MobiusTransform.origin_to(cz)
     pts = T.apply_many(ring.ravel()).reshape(ring.shape)

@@ -4,10 +4,21 @@ The Dirichlet energy of a 2-D conformal metric does not see the
 conformal factor, so one cotangent stiffness matrix (assembled from the
 raw Euclidean disk coordinates) serves every metric on a mesh; it is
 cached on the mesh.  The metric enters only through the lumped mass
-matrix, whose vertex weights carry exp(2u).  Generalized eigenvalues
-come from ARPACK shift-invert iteration around -1e-3, which factors the
-positive definite matrix K + 1e-3 M once; the known constant kernel
-vector seeds the iteration.
+matrix, whose vertex weights carry exp(2u).
+
+Generalized eigenvalues come from ARPACK shift-invert iteration around
+-1e-3 at every mesh level; there is no dense cutoff, and a dense `eigh`
+runs only where ARPACK cannot (k + 1 >= n - 1).  The shift caps the
+operator at 1e3, which keeps the tiny eigenvalues of collapsed dumbbell
+necks resolved.  K + 1e-3 M has the same sparsity pattern for every
+metric, so its fill-reducing order is computed once per mesh: a
+geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
+the representatives' disk coordinates, cached on the mesh with K
+permuted by it.  Per metric only the diagonal changes; the permuted
+matrix is symmetric positive definite, so SuperLU factors it in that
+order without pivoting.  ARPACK starts from a fixed random vector and
+draws its restarts from a fixed generator, so a solve repeats bit for
+bit across calls and processes.
 """
 
 import logging
@@ -31,7 +42,8 @@ from .hyp import pair_distances
 log = logging.getLogger(__name__)
 
 GLUE_VALUE_TOL = 1e-8  # max disagreement of u across raw copies of a vertex
-DENSE_CUTOFF = 600     # below this many unknowns just use a dense solve
+SHIFT = -1e-3          # ARPACK shift: factor K - SHIFT * M
+DISSECTION_LEAF = 64   # index sets this small are not split further
 
 
 def cotangent_stiffness(mesh) -> sp.csr_matrix:
@@ -68,6 +80,66 @@ def cotangent_stiffness(mesh) -> sp.csr_matrix:
     ).tocsr()
     mesh._stiffness = K
     return K
+
+
+def dissection_order(mesh):
+    """(permutation, permuted stiffness) for the shift-invert factor.
+
+    Geometric nested dissection: split an index set at the coordinate
+    median along its longer extent; the separator is the upper half's
+    vertices adjacent to the lower half in K's graph, glued edges
+    included, so it separates the halves on the closed surface; order
+    lower, rest of upper, separator, recursively.  Cached on the mesh.
+    """
+    if mesh._ordering is not None:
+        return mesh._ordering
+    K = cotangent_stiffness(mesh)
+    adjacency = sp.csr_matrix(
+        (np.ones(K.nnz), K.indices, K.indptr), shape=K.shape
+    )
+    xy = np.empty((mesh.n_rep, 2))
+    xy[mesh.rep] = mesh.xy
+    pieces = []
+
+    def dissect(idx):
+        if len(idx) <= DISSECTION_LEAF:
+            pieces.append(idx)
+            return
+        pts = xy[idx]
+        axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        order = np.argsort(pts[:, axis], kind="stable")
+        half = len(idx) // 2
+        lower, upper = idx[order[:half]], idx[order[half:]]
+        in_lower = np.zeros(mesh.n_rep)
+        in_lower[lower] = 1.0
+        touches = adjacency[upper] @ in_lower > 0.0
+        dissect(lower)
+        dissect(upper[~touches])
+        pieces.append(upper[touches])
+
+    dissect(np.arange(mesh.n_rep))
+    perm = np.concatenate(pieces)
+    mesh._ordering = (perm, K[perm][:, perm].tocsc())
+    return mesh._ordering
+
+
+def _shift_invert(system) -> spla.LinearOperator:
+    """x -> (K - SHIFT * M)^{-1} x, factored in the mesh's dissection order."""
+    perm, K_perm = dissection_order(system.mesh)
+    lu = spla.splu(
+        K_perm - SHIFT * sp.diags(system.mass[perm]),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+    def solve(b):
+        x = np.empty(system.dimension)
+        x[perm] = lu.solve(np.ravel(b)[perm])
+        return x
+
+    n = system.dimension
+    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
 
 
 def sigma_vertex_mass(mesh) -> np.ndarray:
@@ -165,7 +237,8 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
     K = system.stiffness
     mass = system.mass
 
-    if n <= DENSE_CUTOFF or k + 1 >= n - 1:
+    if k + 1 >= n - 1:
+        # ARPACK needs k + 1 < ncv <= n - 1
         import scipy.linalg as la
 
         scale = 1.0 / np.sqrt(mass)
@@ -176,19 +249,20 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
         vecs = vecs_w[:, : k + 1] * scale[:, None]
     else:
         ncv = min(n - 1, max(40, 4 * (k + 1)))
-        v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
             vals, vecs = spla.eigsh(
                 K,
                 k=k + 1,
                 M=sp.diags(mass).tocsc(),
-                sigma=-1e-3,
+                sigma=SHIFT,
                 which="LM",
                 mode="normal",
-                v0=v0,
+                OPinv=_shift_invert(system),
+                v0=np.random.default_rng(0).standard_normal(n),
                 ncv=ncv,
                 maxiter=maxiter,
                 tol=0,
+                rng=0,
             )
         except spla.ArpackNoConvergence as exc:
             raise NumericError(

@@ -125,6 +125,7 @@ class SurfaceMesh:
     tri_area_sigma: np.ndarray
     boundary_edge_count: int
     _stiffness: object = field(default=None, repr=False, compare=False)
+    _ordering: object = field(default=None, repr=False, compare=False)
     _sigma_vertex_mass: object = field(default=None, repr=False, compare=False)
 
     @property

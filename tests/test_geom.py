@@ -29,7 +29,7 @@ from conformal_lab.geom import (
     jensen_lower_bound,
     region_integral_u,
 )
-from conformal_lab.hyp import disk_distance
+from conformal_lab.hyp import MobiusTransform, disk_distance
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +171,45 @@ def test_region_bound_holds_for_at_max_family(surface):
         assert lhs >= rhs - 1e-9
     u_int = circle_integral_u(metric, 0j, 1.0)
     assert u_int >= circle_lower_bound(metric.u_max, 1.0) - 1e-9
+
+
+def _whole_grid_region_lhs(metric, cz, R, grid):
+    """region_integral_u's lhs evaluated on the whole polar grid at once."""
+    n_r, n_t = grid
+    r = np.linspace(0.0, R, n_r)
+    theta = np.arange(n_t) * (2.0 * math.pi / n_t)
+    ring = np.tanh(0.5 * r)[:, None] * np.exp(1j * theta)[None, :]
+    pts = MobiusTransform.origin_to(cz).apply_many(ring.ravel()).reshape(ring.shape)
+    u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
+    ring_means = np.mean(u, axis=1) * (2.0 * math.pi)
+    return float(np.trapezoid(ring_means * np.sinh(r), r))
+
+
+@pytest.mark.parametrize(
+    "family, params, center, R",
+    [
+        ("nonpositive_radial", {"amplitude": 0.5}, 0j, 1.0),
+        ("nonpositive_radial", {"amplitude": 1.0}, 0j, 0.5),
+        ("shrinker", {"eps": 0.2, "delta": 0.1}, 0.1 + 0.05j, 0.5),
+    ],
+)
+def test_region_integral_blocks_match_whole_grid(surface, family, params, center, R):
+    metric = families.make(surface, family, **params)
+    grid = (200, 96)  # not a multiple of the ring block
+    lhs, _ = region_integral_u(metric, center, R, grid=grid)
+    assert lhs == _whole_grid_region_lhs(metric, center, R, grid)
+
+
+def test_region_integral_memory_is_bounded(surface):
+    metric = families.make(surface, "nonpositive_radial", amplitude=1.0)
+    tracemalloc.start()
+    try:
+        region_integral_u(metric, 0j, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole default 1024 x 1024 grid takes 16 MB per complex array
+    assert peak < 16 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,35 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
-from conformal_lab import families
+from conformal_lab import build_mesh, families
 from conformal_lab.conformal import base_metric
 from conformal_lab.errors import ConstructionError, ParameterError, UsageError
+from conformal_lab.report import default_sweep_grid
 from conformal_lab.spectral import (
+    SHIFT,
+    _shift_invert,
     assemble,
     conformal_eigen_sandwich,
     cotangent_stiffness,
+    dissection_order,
     dumbbell_test_bound,
     eigenvalues,
     rayleigh,
 )
 from conformal_lab.surface import base_spectrum
+
+# A dumbbell whose neck has collapsed: lambda_1 and lambda_2 are far below
+# round-off of the spectrum's scale, so only the shift keeps lambda_3.. apart.
+COLLAPSED_DUMBBELL = {"family": "dumbbell", "eps": 0.160611, "delta": 0.012677}
+
+
+def _dense_oracle(system, k):
+    """Smallest k+1 eigenvalues of the generalized pencil (K, diag M)."""
+    dense = la.eigh(system.stiffness.toarray(), np.diag(system.mass), eigvals_only=True)
+    return dense[: k + 1]
 
 
 def test_stiffness_kernel_contains_constants(mesh3):
@@ -50,10 +66,65 @@ def test_base_spectrum_level3(surface, mesh3):
 
 def test_base_spectrum_level4_uses_sparse_path(surface, mesh4):
     res = base_spectrum(surface, mesh4, 3)
-    assert res.dimension == 1022  # above the dense-solver cutoff
+    assert res.dimension == 1022
     assert res.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
     assert res.eigenvalues[1] == pytest.approx(3.828939995, rel=1e-6)
     assert res.residuals.max() < 1e-8
+
+
+def test_dissection_order_is_cached_permutation(surface, mesh4):
+    perm, K_perm = dissection_order(mesh4)
+    assert np.array_equal(np.sort(perm), np.arange(mesh4.n_rep))
+    assert dissection_order(mesh4)[0] is perm
+    K = cotangent_stiffness(mesh4)
+    assert (K_perm != K[perm][:, perm]).nnz == 0
+
+
+@pytest.mark.parametrize("params", [None, COLLAPSED_DUMBBELL])
+def test_shift_invert_factor_solves_shifted_system(surface, mesh4, params):
+    metric = base_metric(surface) if params is None else families.make(surface, **params)
+    system = assemble(metric, mesh4)
+    shifted = system.stiffness - SHIFT * sp.diags(system.mass)
+    x_true = np.random.default_rng(1).standard_normal(system.dimension)
+    b = shifted @ x_true
+    x = _shift_invert(system) @ b
+    assert np.linalg.norm(shifted @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize(
+    "params",
+    default_sweep_grid() + [COLLAPSED_DUMBBELL],
+    ids=lambda p: "-".join(str(v) for v in p.values()),
+)
+def test_eigenvalues_match_dense_oracle_level3(surface, mesh3, params):
+    system = assemble(families.make(surface, **params), mesh3)
+    lam = eigenvalues(system, 10).eigenvalues
+    np.testing.assert_allclose(lam, _dense_oracle(system, 10), rtol=1e-10, atol=1e-10)
+
+
+def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
+    system = assemble(families.make(surface, "shrinker", eps=0.2, delta=0.1), mesh2)
+    k = mesh2.n_rep - 2  # k + 1 >= n - 1 leaves ARPACK no room for ncv
+    res = eigenvalues(system, k)
+    assert len(res.eigenvalues) == k + 1
+    np.testing.assert_allclose(
+        res.eigenvalues, _dense_oracle(system, k), rtol=1e-10, atol=1e-10
+    )
+
+
+def test_eigenvalues_repeat_bit_for_bit_level5(surface):
+    mesh = build_mesh(surface.domain, 5)
+    system = assemble(families.make(surface, "stretcher", eps=0.2, delta=0.01), mesh)
+    first = eigenvalues(system, 1).eigenvalues
+    for _ in range(2):
+        assert np.array_equal(eigenvalues(system, 1).eigenvalues, first)
+
+
+def test_sandwich_holds_for_collapsed_dumbbell_level4(surface, mesh4):
+    metric = families.make(surface, **COLLAPSED_DUMBBELL)
+    res = conformal_eigen_sandwich(metric, mesh4, base_spectrum(surface, mesh4, 10), 10)
+    assert res.violations == 0
+    assert res.worst_margin >= 0.0
 
 
 def test_eigenvalue_csv_header(surface, mesh3):
