@@ -23,7 +23,6 @@ from .geom import (
     CylinderChart,
     curve_length,
     diameter_estimate,
-    geodesic_shoot,
     jensen_lower_bound,
 )
 from .report import BoundsReport, default_sweep_grid, sweep, verify_metric
@@ -61,7 +60,6 @@ __all__ = [
     "eigenvalues",
     "from_descriptor",
     "gauss_bonnet",
-    "geodesic_shoot",
     "jensen_lower_bound",
     "katok_bounds",
     "make",

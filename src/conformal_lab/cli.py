@@ -34,22 +34,15 @@ NUMERIC_ERRORS = (
 )
 
 #: top-level keys a sweep config may carry
-CONFIG_KEYS = ("version", "level", "grid", *report.DEFAULT_CONFIG)
+CONFIG_KEYS = ("version", "level", "grid", *report.SWEEP_CONFIG_KEYS)
+
+#: config keys whose value must be an integer; version and grid are
+#: checked on their own
+INT_KEYS = ("level", *report.SWEEP_CONFIG_KEYS)
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: the test a config value must pass, and how to name it; version and
-#: grid are checked on their own
-CONFIG_VALUES = {
-    **dict.fromkeys(("level", "k", "samples_per_edge", "curve_samples"),
-                    (_is_int, "an integer")),
-    **dict.fromkeys(("slack_exact", "slack_quad", "slack_mesh"),
-                    (families.is_real, "a finite real number")),
-    "embed_timestamp": (lambda value: isinstance(value, bool), "true or false"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,9 +113,13 @@ def load_config(path) -> dict:
     for key, value in doc.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"config file {path} has unknown key {key!r}")
-        check, kind = CONFIG_VALUES.get(key, (None, None))
-        if check is not None and not check(value):
-            raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+        if key in INT_KEYS and not _is_int(value):
+            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    if doc.get("samples_per_edge", 1) < 1:
+        raise UsageError(
+            "config key 'samples_per_edge' must be at least 1, "
+            f"got {doc['samples_per_edge']!r}"
+        )
     return doc
 
 
@@ -225,11 +222,7 @@ def _cmd_sweep(args) -> int:
     doc = load_config(args.config)
     level = args.level if args.level is not None else doc.get("level", 3)
     grid = doc.get("grid")
-    config = {
-        k: doc[k]
-        for k in report.DEFAULT_CONFIG
-        if k in doc
-    }
+    config = {k: doc[k] for k in report.SWEEP_CONFIG_KEYS if k in doc}
     surface = HyperbolicSurface()
     mesh = build_mesh(surface.domain, level)
     table = report.sweep(surface, mesh, grid, config)

@@ -1,13 +1,14 @@
 """Conformal deformations g = exp(2u) sigma of the base hyperbolic metric.
 
 A deformation is described by a scalar profile u, well defined on the
-quotient surface.  Profiles expose pointwise values, an analytic
-Laplacian where one exists, extrema over the fundamental domain, and
-(for the built-in families) dedicated quadrature rules for integrals of
-exp(p*u) against the base area element.  Those rules matter: the
-interesting profiles vary over dozens of orders of magnitude inside
-regions far smaller than any mesh triangle, so mesh quadrature alone
-would be useless for area normalization.
+quotient surface.  Every family supplies the same five things: pointwise
+values, a closed-form Laplacian, the extrema over the fundamental domain,
+and two chart quadratures, of exp(p*u) and of the Laplacian, against the
+base area element.  Those rules matter: the interesting profiles vary over
+dozens of orders of magnitude inside regions far smaller than any mesh
+triangle, so mesh quadrature alone would be useless for area
+normalization.  The mesh quadratures of area and total curvature remain
+only as references for the chart rules.
 
 Curvature bookkeeping uses the conformal change formula
 K_g = -exp(-2u) * (1 + L_sigma u), with L_sigma the Laplacian of the
@@ -25,10 +26,13 @@ from .surface import HyperbolicSurface
 
 
 class ScalarField:
-    """Deformation profile u on the surface (abstract base)."""
+    """Deformation profile u on the surface (abstract base).
 
-    #: True when laplacian() evaluates a closed-form expression.
-    analytic_laplacian = False
+    A family supplies u, its Laplacian, its extrema and two chart
+    quadratures; the curvature, area, Gauss-Bonnet and entropy checks read
+    nothing else.
+    """
+
     #: True when the family proves 1 + L_sigma u >= 0 by construction.
     curvature_sign_certificate = False
 
@@ -37,52 +41,34 @@ class ScalarField:
         raise NotImplementedError
 
     def laplacian(self, x, y):
-        """Base-metric Laplacian of u at disk points."""
-        raise UsageError(f"{type(self).__name__} has no analytic Laplacian")
-
-    def grad_z(self, x, y):
-        """Wirtinger derivative du/dz = (u_x - i u_y)/2.
-
-        Default is a central difference; families override with chain
-        rules through their radial profiles.
-        """
-        h = 1e-6
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ux = (self.values(x + h, y) - self.values(x - h, y)) / (2.0 * h)
-        uy = (self.values(x, y + h) - self.values(x, y - h)) / (2.0 * h)
-        return 0.5 * (ux - 1j * uy)
+        """Base-metric Laplacian of u at disk points, in closed form."""
+        raise NotImplementedError
 
     def bounds(self):
         """(min u, max u) over the surface."""
         raise NotImplementedError
 
     def exp_integral(self, power):
-        """Integral of exp(power*u) over the surface against the base area.
+        """Integral of exp(power*u) over the surface against the base area."""
+        raise NotImplementedError
 
-        Returns None when the profile has no dedicated quadrature rule;
-        callers then fall back to mesh quadrature.
-        """
-        return None
+    def laplacian_integral(self):
+        """Integral of L_sigma u over the surface."""
+        raise NotImplementedError
 
     def sign_probe_points(self):
-        """Extra (x, y) samples for the curvature sign scan, or None.
+        """Extra (x, y) samples for the curvature sign scan; none by default.
 
         Families whose curvature concentrates below mesh resolution
         (power-law spikes transition at radius e^{-1/delta}) must expose
         the zones themselves or the scan would miss them entirely.
         """
-        return None
-
-    def laplacian_integral(self):
-        """Integral of L_sigma u over the surface; None without a rule."""
-        return None
+        return np.empty(0), np.empty(0)
 
 
 class ConstantField(ScalarField):
     """u identically constant (the base metric when the constant is 0)."""
 
-    analytic_laplacian = True
     curvature_sign_certificate = True
 
     def __init__(self, value, base_area):
@@ -94,9 +80,6 @@ class ConstantField(ScalarField):
 
     def laplacian(self, x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
-    def grad_z(self, x, y):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape, dtype=complex)
 
     def bounds(self):
         return self.value, self.value
@@ -144,8 +127,6 @@ AREA_MATCH_TOL = 1e-8
 def make_metric(surface, field, family, params, C):
     """Package a normalized field, checking the area invariant."""
     area = field.exp_integral(2)
-    if area is None:
-        raise UsageError(f"family '{family}' provides no area rule")
     if abs(area - surface.total_area) > AREA_MATCH_TOL * max(1.0, surface.total_area):
         raise NormalizationError(
             f"family '{family}': area {area!r} misses target "
@@ -228,19 +209,15 @@ def normalize_area_quadratic(area_of_C, target):
     return 2.0 * gap / (b + math.sqrt(b * b + 4.0 * a * gap))
 
 
-def total_area(metric, mesh=None, method="auto"):
+def total_area(metric, mesh=None, method="chart"):
     """Total area of g, by the field's own rule or by mesh quadrature.
 
-    Mesh methods: 'three_point' averages exp(2u) over triangle corners,
-    'centroid' evaluates at the Euclidean centroid of the raw corners.
+    Mesh methods, kept as references for the chart rule: 'three_point'
+    averages exp(2u) over triangle corners, 'centroid' evaluates at the
+    Euclidean centroid of the raw corners.
     """
-    if method in ("auto", "chart"):
-        val = metric.field.exp_integral(2)
-        if val is not None:
-            return float(val)
-        if method == "chart":
-            raise UsageError(f"family '{metric.family}' has no chart area rule")
-        method = "three_point"
+    if method == "chart":
+        return float(metric.field.exp_integral(2))
     if mesh is None:
         raise UsageError(f"mesh quadrature '{method}' needs a mesh")
     w = metric.factor_at(mesh.xy[:, 0], mesh.xy[:, 1])
@@ -256,9 +233,7 @@ def total_area(metric, mesh=None, method="auto"):
 
 
 def gaussian_curvature(metric, x, y):
-    """Curvature of g at disk points (needs an analytic Laplacian)."""
-    if not metric.field.analytic_laplacian:
-        raise UsageError(f"family '{metric.family}' has no analytic Laplacian")
+    """Curvature of g at disk points."""
     lap = metric.field.laplacian(x, y)
     return -np.exp(-2.0 * metric.field.values(x, y)) * (1.0 + lap)
 
@@ -268,54 +243,34 @@ class NonpositivityResult:
     nonpositive: bool
     min_excess: float     # min over samples of 1 + L_sigma u
     tol: float
-    method: str           # 'analytic' or 'mesh'
+    method: str           # 'analytic': the closed-form Laplacian
     certified: bool       # family carries an analytic sign proof
 
 
 ANALYTIC_SIGN_TOL = 1e-6
-MESH_SIGN_TOL = 1e-2
 
 
 def nonpositivity_check(metric, mesh) -> NonpositivityResult:
     """Decide whether K_g <= 0 by sampling 1 + L_sigma u.
 
-    With an analytic Laplacian the samples are the raw mesh vertices plus
-    triangle centroids and the tolerance is tight; otherwise the Laplacian
-    is approximated by the lumped stiffness action and the tolerance is
-    loose (second-order consistency only at interior regular vertices).
+    The closed-form Laplacian is sampled at the raw mesh vertices, the
+    triangle centroids and the field's own probe points.
     """
     x, y = mesh.xy[:, 0], mesh.xy[:, 1]
-    if metric.field.analytic_laplacian:
-        cx = np.mean(mesh.xy[mesh.tris, 0], axis=1)
-        cy = np.mean(mesh.xy[mesh.tris, 1], axis=1)
-        parts = [
-            np.asarray(metric.field.laplacian(x, y), dtype=float).ravel(),
-            np.asarray(metric.field.laplacian(cx, cy), dtype=float).ravel(),
-        ]
-        probes = metric.field.sign_probe_points()
-        if probes is not None:
-            px, py = probes
-            parts.append(
-                np.asarray(metric.field.laplacian(px, py), dtype=float).ravel()
-            )
-        ex = 1.0 + np.concatenate(parts)
-        tol, method = ANALYTIC_SIGN_TOL, "analytic"
-    else:
-        from .spectral import cotangent_stiffness, sigma_vertex_mass
-
-        K = cotangent_stiffness(mesh)
-        m = sigma_vertex_mass(mesh)
-        u = metric.u_raw(mesh)
-        u_rep = np.zeros(mesh.n_rep)
-        u_rep[mesh.rep] = u
-        ex = 1.0 - (K @ u_rep) / m
-        tol, method = MESH_SIGN_TOL, "mesh"
+    cx = np.mean(mesh.xy[mesh.tris, 0], axis=1)
+    cy = np.mean(mesh.xy[mesh.tris, 1], axis=1)
+    px, py = metric.field.sign_probe_points()
+    ex = 1.0 + np.concatenate([
+        np.asarray(metric.field.laplacian(x, y), dtype=float).ravel(),
+        np.asarray(metric.field.laplacian(cx, cy), dtype=float).ravel(),
+        np.asarray(metric.field.laplacian(px, py), dtype=float).ravel(),
+    ])
     min_excess = float(np.min(ex))
     return NonpositivityResult(
-        nonpositive=bool(min_excess >= -tol),
+        nonpositive=bool(min_excess >= -ANALYTIC_SIGN_TOL),
         min_excess=min_excess,
-        tol=tol,
-        method=method,
+        tol=ANALYTIC_SIGN_TOL,
+        method="analytic",
         certified=bool(metric.field.curvature_sign_certificate),
     )
 
@@ -335,23 +290,20 @@ class GaussBonnetResult:
     method: str
 
 
-def gauss_bonnet(metric, mesh, method="auto") -> GaussBonnetResult:
+def gauss_bonnet(metric, mesh, method="chart") -> GaussBonnetResult:
     """Total curvature of g against the exact target 2 pi chi.
 
     The integral reduces to -(base area) - integral of L_sigma u.  The
     'chart' path evaluates the Laplacian integral by the family rule;
-    the 'mesh' path uses the identity that the all-ones vector lies in
-    the kernel of the stiffness matrix, so the discrete Laplacian
-    integral is the (tiny) accumulated round-off of 1^T K u.
+    the 'mesh' path, kept as a reference, uses the identity that the
+    all-ones vector lies in the kernel of the stiffness matrix, so the
+    discrete Laplacian integral is the (tiny) accumulated round-off of
+    1^T K u.
     """
     expected = 2.0 * math.pi * mesh.euler_characteristic()
     base_area = mesh.total_area_sigma()
-    if method == "auto":
-        method = "chart" if metric.field.laplacian_integral() is not None else "mesh"
     if method == "chart":
         lap_int = metric.field.laplacian_integral()
-        if lap_int is None:
-            raise UsageError(f"family '{metric.family}' has no Laplacian rule")
     elif method == "mesh":
         from .spectral import cotangent_stiffness
 
@@ -387,21 +339,13 @@ def to_descriptor(metric) -> dict:
     return doc
 
 
-def save_descriptor(metric, path):
-    with open(path, "w") as fh:
-        json.dump(to_descriptor(metric), fh, indent=2)
-        fh.write("\n")
-
-
 def load_descriptor(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
 
 
 def from_descriptor(doc, surface=None):
-    """Rebuild a metric from a descriptor dict (or path), bit-stable."""
-    if isinstance(doc, (str, bytes)):
-        doc = load_descriptor(doc)
+    """Rebuild a metric from a descriptor dict, bit-stable."""
     from . import families
 
     return families.from_descriptor(doc, surface=surface)

@@ -12,9 +12,7 @@ already provide; no dynamics is simulated.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, ParameterError, UsageError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "EntropyBounds",
@@ -39,51 +37,30 @@ class EntropyBounds:
     h_mu_upper: float
     h_top_lower: float
     universal_gap: float
-    coding_upper: float = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "katok_factor": self.katok_factor,
             "h_mu_upper": self.h_mu_upper,
             "h_top_lower": self.h_top_lower,
             "universal_gap": self.universal_gap,
         }
-        if self.coding_upper is not None:
-            out["coding_upper"] = self.coding_upper
-        return out
 
 
-def _mean_exp_u(metric, mesh):
-    """Quadrature of e^u over the surface divided by the base area."""
-    val = metric.field.exp_integral(1)
-    if val is None:
-        if mesh is None:
-            raise UsageError(
-                f"family '{metric.family}' has no chart rule for the "
-                "e^u integral and no mesh was supplied"
-            )
-        w = np.exp(metric.u_raw(mesh))
-        per_tri = np.mean(w[mesh.tris], axis=1)
-        val = float(np.sum(mesh.tri_area_sigma * per_tri))
-    return float(val) / metric.surface.total_area
-
-
-def katok_bounds(metric, mesh=None, *, base_entropy=1.0) -> EntropyBounds:
+def katok_bounds(metric) -> EntropyBounds:
     """Entropy bounds for an area-normalized conformal metric.
 
     The base metric has curvature -1, so its measure and topological
-    entropies coincide at 1; `base_entropy` overrides that common value
-    when a differently normalized base is in play.
+    entropies coincide at 1; the factor is the field's chart quadrature
+    of e^u divided by the base area.
     """
-    if base_entropy <= 0.0:
-        raise ParameterError(f"base entropy must be positive, got {base_entropy}")
-    factor = _mean_exp_u(metric, mesh)
+    factor = float(metric.field.exp_integral(1)) / metric.surface.total_area
     if not 0.0 < factor:
         raise DomainError(f"conformal average came out nonpositive: {factor}")
     return EntropyBounds(
         katok_factor=factor,
-        h_mu_upper=base_entropy * factor,
-        h_top_lower=base_entropy / factor,
+        h_mu_upper=factor,
+        h_top_lower=1.0 / factor,
         universal_gap=universal_gap(
             metric.surface.total_area, metric.surface.euler
         ),

@@ -2,6 +2,11 @@
 double-spike dumbbell, an always-nonpositively-curved radial family, and
 a standalone warped-product cylinder profile.
 
+Each conformal family is one ScalarField: values, closed-form Laplacian,
+extrema and the two chart quadratures.  The stretcher and the dumbbell
+share one: SpikeField puts the same power spike (_PowerSpike) at each of
+its anchors, one for the stretcher and two for the dumbbell.
+
 All conformal families are built from one C-infinity plateau bump
 
     bump(t; a) = q(s1) / (q(s1) + q(s2)),   q(s) = exp(-1/s) for s > 0,
@@ -114,17 +119,6 @@ def _dist_to_point(x, y, px, py):
     return d.reshape(shape)
 
 
-def _dist_grad_z(z, p):
-    """d/dz of the hyperbolic distance to anchor p; 0 where z == p."""
-    m = (z - p) / (1.0 - np.conj(p) * z)
-    mabs = np.abs(m)
-    dm = (1.0 - abs(p) ** 2) / (1.0 - np.conj(p) * z) ** 2
-    safe = np.where(mabs > 0, mabs, 1.0)
-    return np.where(
-        mabs > 0, (1.0 / (1.0 - mabs**2)) * (np.conj(m) / safe) * dm, 0.0
-    )
-
-
 def _ray_points(anchor, radii):
     """Disk points at the given hyperbolic radii from the anchor.
 
@@ -144,8 +138,6 @@ def _ray_points(anchor, radii):
 class ShrinkerField(conformal.ScalarField):
     """u = -log(sys/eps) * phi(|r|; delta) + C (1 - phi), |r| the collar
     coordinate (signed distance from the systole geodesic)."""
-
-    analytic_laplacian = True
 
     def __init__(self, sys_length, base_area, eps, delta, C):
         self.sys = float(sys_length)
@@ -177,16 +169,6 @@ class ShrinkerField(conformal.ScalarField):
         r = self._r_abs(x, y)
         _, g1, g2 = self._profile_jet(r)
         return g2 + np.tanh(r) * g1
-
-    def grad_z(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x + 1j * y
-        q = 2.0 * y / (1.0 - x * x - y * y)
-        r = np.arcsinh(q)
-        _, g1, _ = self._profile_jet(np.abs(r))
-        qz = -1j * (1.0 - np.conj(z) ** 2) / (1.0 - z * np.conj(z)) ** 2
-        return g1 * np.sign(r) * qz / np.sqrt(1.0 + q * q)
 
     def bounds(self):
         return min(-self.depth, self.C), max(-self.depth, self.C)
@@ -288,10 +270,6 @@ class _PowerSpike:
     def u_values(self, r):
         rv, _, _ = self.rho_jet(r)
         return np.log(rv)
-
-    def u_slope(self, r):
-        rv, rd, _ = self.rho_jet(r)
-        return rd / rv
 
     def laplacian(self, r):
         """u'' + coth(r) u' for the radial profile u = log rho."""
@@ -437,55 +415,54 @@ def _spike_checks(surface, eps, delta, anchors):
             )
 
 
-class StretcherField(conformal.ScalarField):
-    """u = log rho(d_sigma(. , p)) for the power-spike profile."""
+class SpikeField(conformal.ScalarField):
+    """One power spike rho(d_sigma(., a)) at each anchor a over the constant
+    background C: one anchor makes the stretcher, two the dumbbell."""
 
-    analytic_laplacian = True
-
-    def __init__(self, base_area, p, eps, delta, C):
+    def __init__(self, base_area, anchors, eps, delta, C):
         self.base_area = float(base_area)
-        self.p = complex(p)
+        self.anchors = tuple(complex(a) for a in anchors)
         self.eps = float(eps)
         self.delta = float(delta)
         self.C = float(C)
         self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C)
 
-    def _r(self, x, y):
-        return _dist_to_point(x, y, self.p.real, self.p.imag)
+    def _radii(self, x, y):
+        return [_dist_to_point(x, y, a.real, a.imag) for a in self.anchors]
 
     def values(self, x, y):
-        return self.spike.u_values(self._r(x, y))
+        logC = math.log(self.C)
+        u = logC
+        # spikes have disjoint supports: add up deviations from the background
+        for r in self._radii(x, y):
+            u = u + (self.spike.u_values(r) - logC)
+        return u
 
     def laplacian(self, x, y):
-        return self.spike.laplacian(self._r(x, y))
-
-    def grad_z(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x + 1j * y
-        r = self._r(x, y)
-        return self.spike.u_slope(r) * _dist_grad_z(z, self.p)
+        return functools.reduce(
+            np.add, (self.spike.laplacian(r) for r in self._radii(x, y))
+        )
 
     def bounds(self):
         return self.spike.sampled_min_u(), self.spike.log_inner
 
     def exp_integral(self, power):
+        n = len(self.anchors)
         ball_sigma = 4.0 * math.pi * math.sinh(0.5 * self.eps) ** 2
-        return self.spike.ball_exp_integral(power) + self.C**power * (
-            self.base_area - ball_sigma
+        return n * self.spike.ball_exp_integral(power) + self.C**power * (
+            self.base_area - n * ball_sigma
         )
 
     def laplacian_integral(self):
-        return self.spike.ball_laplacian_integral()
-
-    def radial_segment_length(self):
-        return self.spike.radial_segment_length()
-
-    def radial_length_bound(self):
-        return self.spike.radial_length_bound()
+        return len(self.anchors) * self.spike.ball_laplacian_integral()
 
     def sign_probe_points(self):
-        return _ray_points(self.p, self.spike.probe_radii())
+        radii = self.spike.probe_radii()
+        rays = [_ray_points(a, radii) for a in self.anchors]
+        return (
+            np.concatenate([x for x, _ in rays]),
+            np.concatenate([y for _, y in rays]),
+        )
 
 
 def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
@@ -493,7 +470,7 @@ def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMet
     pz = _as_complex(p)
     _spike_checks(surface, eps, delta, [pz])
 
-    field = functools.partial(StretcherField, surface.total_area, pz, eps, delta)
+    field = functools.partial(SpikeField, surface.total_area, (pz,), eps, delta)
     if C is None:
         C = conformal.normalize_area_quadratic(
             lambda c: field(c).exp_integral(2), surface.total_area
@@ -505,79 +482,6 @@ def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMet
         {"eps": eps, "delta": delta, "p": [pz.real, pz.imag]},
         C,
     )
-
-
-class DumbbellField(conformal.ScalarField):
-    """Two disjoint power spikes at p and q over a constant background."""
-
-    analytic_laplacian = True
-
-    def __init__(self, base_area, p, q, eps, delta, C):
-        self.base_area = float(base_area)
-        self.anchors = (complex(p), complex(q))
-        self.eps = float(eps)
-        self.delta = float(delta)
-        self.C = float(C)
-        self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C)
-
-    @property
-    def delta_R(self):
-        return self.spike.radial_length_bound()
-
-    def ramp_values(self, r):
-        return self.spike.ramp_values(r)
-
-    def _radii(self, x, y):
-        return [
-            _dist_to_point(x, y, a.real, a.imag) for a in self.anchors
-        ]
-
-    def values(self, x, y):
-        rp, rq = self._radii(x, y)
-        up = self.spike.u_values(rp)
-        uq = self.spike.u_values(rq)
-        logC = math.log(self.C)
-        # spikes have disjoint supports: combine deviations from the background
-        return logC + (up - logC) + (uq - logC)
-
-    def laplacian(self, x, y):
-        rp, rq = self._radii(x, y)
-        return self.spike.laplacian(rp) + self.spike.laplacian(rq)
-
-    def grad_z(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x + 1j * y
-        rp, rq = self._radii(x, y)
-        return self.spike.u_slope(rp) * _dist_grad_z(
-            z, self.anchors[0]
-        ) + self.spike.u_slope(rq) * _dist_grad_z(z, self.anchors[1])
-
-    def bounds(self):
-        return self.spike.sampled_min_u(), self.spike.log_inner
-
-    def exp_integral(self, power):
-        ball_sigma = 4.0 * math.pi * math.sinh(0.5 * self.eps) ** 2
-        return 2.0 * self.spike.ball_exp_integral(power) + self.C**power * (
-            self.base_area - 2.0 * ball_sigma
-        )
-
-    def laplacian_integral(self):
-        return 2.0 * self.spike.ball_laplacian_integral()
-
-    def ramp_energy(self):
-        return self.spike.ramp_energy()
-
-    def annulus_area(self):
-        return self.spike.annulus_area()
-
-    def sign_probe_points(self):
-        radii = self.spike.probe_radii()
-        rays = [_ray_points(a, radii) for a in self.anchors]
-        return (
-            np.concatenate([x for x, _ in rays]),
-            np.concatenate([y for _, y in rays]),
-        )
 
 
 def default_dumbbell_anchors(surface):
@@ -604,7 +508,7 @@ def dumbbell(surface, p, q, eps, delta, C=None) -> conformal.ConformalMetric:
             f"anchors at distance {sep:.4f} overlap: need d(p, q) > 2 eps = {2 * eps}"
         )
 
-    field = functools.partial(DumbbellField, surface.total_area, pz, qz, eps, delta)
+    field = functools.partial(SpikeField, surface.total_area, (pz, qz), eps, delta)
     if C is None:
         C = conformal.normalize_area_quadratic(
             lambda c: field(c).exp_integral(2), surface.total_area
@@ -638,7 +542,6 @@ class RadialSlopeField(conformal.ScalarField):
     nonpositively curved by construction.
     """
 
-    analytic_laplacian = True
     curvature_sign_certificate = True
 
     def __init__(self, base_area, center, amplitude, C):
@@ -672,15 +575,6 @@ class RadialSlopeField(conformal.ScalarField):
         r = np.asarray(r, dtype=float)
         phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
         return (1.0 - self.amplitude * phi) - np.tanh(0.5 * r) * self.amplitude * d1
-
-    def grad_z(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x + 1j * y
-        r = self._r(x, y)
-        phi, _, _ = bump_jet(r, RADIAL_SUPPORT)
-        slope = -np.tanh(0.5 * r) * self.amplitude * phi
-        return slope * _dist_grad_z(z, self.center)
 
     def bounds(self):
         return self.C + float(self._table_w[-1]), self.C

@@ -1,19 +1,21 @@
-"""Curves, geodesics, diameters, and the integral identities of the
-deformation profile (circle and region integrals, Green-type residuals,
-the conjugate-point diameter quantity).
+"""Curve lengths, diameters, and the integral identities of the
+deformation profile (circle and region integrals, Green-type residuals).
 
-Curves are sampled in disk coordinates.  Collar computations use the
-normal-coordinate chart of the systole geodesic: r is the signed
-distance from the axis, s the position along it, with base metric
-dr^2 + cosh(r)^2 ds^2 and area element cosh(r).
+Curves are sampled in disk coordinates and measured by midpoint sampling
+of e^u; no geodesic is integrated here.  The Green residuals are checked
+by the acceptance tests only, not by verify reports.
+
+Collar computations use the normal-coordinate chart of the systole
+geodesic: r is the signed distance from the axis, s the position along
+it, with base metric dr^2 + cosh(r)^2 ds^2 and area element cosh(r).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, TopologyError
+from .errors import DomainError, RangeError, TopologyError, UsageError
 from .hyp import MobiusTransform, _as_complex, pair_distances
 
 TWO_PI = 2.0 * math.pi
@@ -23,8 +25,6 @@ RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
 @dataclass
 class Curve:
     samples: np.ndarray                 # (n, 2) disk coordinates
-    closed: bool = False
-    velocities: np.ndarray = field(default=None, repr=False)  # (n,) complex
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -32,10 +32,6 @@ class Curve:
             raise DomainError(f"curve samples must be (n, 2), got {self.samples.shape}")
         if self.samples.shape[0] < 2:
             raise DomainError("a curve needs at least two samples")
-
-    @property
-    def n(self):
-        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,79 +109,6 @@ def jensen_lower_bound(metric, curve: Curve):
     return l_g, l_sigma * math.exp(mean_u)
 
 
-def curve_to_csv(metric, curve: Curve) -> str:
-    """Sample table with cumulative g-arclength, coordinates, u, speed."""
-    pts = curve.samples
-    seg, u_mid = _segment_data(metric, curve)
-    s = np.concatenate([[0.0], np.cumsum(np.exp(u_mid) * seg)])
-    u = np.asarray(metric.u_at(pts[:, 0], pts[:, 1]), dtype=float)
-    if curve.velocities is not None:
-        w = u + np.log(2.0 / (1.0 - np.sum(pts**2, axis=1)))
-        speed = np.exp(w) * np.abs(curve.velocities)
-    else:
-        speed = np.gradient(s, 1.0 / (curve.n - 1))
-    lines = ["s, x, y, u, speed"]
-    for i in range(curve.n):
-        lines.append(
-            f"{s[i]:.12g}, {pts[i, 0]:.17g}, {pts[i, 1]:.17g}, "
-            f"{u[i]:.12g}, {speed[i]:.12g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def geodesic_shoot(metric, start, direction, length, step=1e-3) -> Curve:
-    """g-geodesic of given g-length by classical RK4 at fixed arclength step.
-
-    The metric is conformally Euclidean with total factor e^{2w},
-    w = u + log(2/(1-|z|^2)); the trajectory solves z'' = -2 w_z (z')^2
-    with g-unit initial speed, so the parameter is g-arclength.
-    """
-    if length <= 0.0:
-        raise DomainError(f"shoot length must be positive, got {length}")
-    z = complex(start.z) if hasattr(start, "z") else complex(start)
-    d = complex(direction)
-    if d == 0:
-        raise DomainError("direction must be nonzero")
-    d /= abs(d)
-
-    def w_z(zz):
-        x = np.array([zz.real])
-        y = np.array([zz.imag])
-        base = np.conj(zz) / (1.0 - abs(zz) ** 2)
-        return complex(np.asarray(metric.field.grad_z(x, y)).ravel()[0] + base)
-
-    def w_val(zz):
-        u = float(np.asarray(metric.u_at(np.array([zz.real]), np.array([zz.imag]))).ravel()[0])
-        return u + math.log(2.0 / (1.0 - abs(zz) ** 2))
-
-    v = d * math.exp(-w_val(z))
-    n_steps = max(1, int(math.ceil(length / step)))
-    h = length / n_steps
-    zs = np.empty(n_steps + 1, dtype=complex)
-    vs = np.empty(n_steps + 1, dtype=complex)
-    zs[0], vs[0] = z, v
-
-    def acc(zz, vv):
-        return -2.0 * w_z(zz) * vv * vv
-
-    for i in range(n_steps):
-        k1z, k1v = v, acc(z, v)
-        k2z, k2v = v + 0.5 * h * k1v, acc(z + 0.5 * h * k1z, v + 0.5 * h * k1v)
-        k3z, k3v = v + 0.5 * h * k2v, acc(z + 0.5 * h * k2z, v + 0.5 * h * k2v)
-        k4z, k4v = v + h * k3v, acc(z + h * k3z, v + h * k3v)
-        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if abs(z) >= 1.0 - 1e-6:
-            raise RangeError(
-                f"trajectory left the disk chart at step {i + 1} (|z| = {abs(z):.8f})"
-            )
-        zs[i + 1], vs[i + 1] = z, v
-
-    return Curve(
-        samples=np.column_stack([zs.real, zs.imag]), closed=False, velocities=vs
-    )
-
-
 def _edge_weights(metric, mesh, samples_per_edge):
     """g-lengths of mesh edges by midpoint (or k-point) sampling of e^u."""
     a = mesh.xy[mesh.edges[:, 0], 0] + 1j * mesh.xy[mesh.edges[:, 0], 1]
@@ -220,6 +143,10 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
+    if samples_per_edge < 1:
+        raise UsageError(
+            f"samples_per_edge must be at least 1, got {samples_per_edge}"
+        )
     weights = _edge_weights(metric, mesh, samples_per_edge)
     r0 = mesh.rep[mesh.edges[:, 0]]
     r1 = mesh.rep[mesh.edges[:, 1]]
@@ -397,9 +324,3 @@ def collar_green_residual(metric, chart: CylinderChart, eps, rho, grid=None) -> 
     F_rho = (F[2] - F[0]) / (2.0 * h)
     rhs = math.cosh(eps) * F_eps - math.cosh(rho) * F_rho
     return abs(lhs - rhs)
-
-
-def conjugate_free_diameter_bound(max_det_factor, eps, A) -> float:
-    """3 sqrt(max factor) sqrt(2 pi A / eps): diameter control for metrics
-    without conjugate points."""
-    return 3.0 * math.sqrt(max_det_factor) * math.sqrt(TWO_PI * A / eps)

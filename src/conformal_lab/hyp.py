@@ -42,10 +42,6 @@ class DiskPoint:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        return cls(z.real, z.imag)
-
 
 def _as_complex(p) -> complex:
     if isinstance(p, DiskPoint):
@@ -62,24 +58,6 @@ def disk_distance(p, q) -> float:
     b = _as_complex(q)
     t = abs(a - b) / abs(1.0 - a.conjugate() * b)
     return 2.0 * math.atanh(t)
-
-
-def poincare_factor(p) -> float:
-    """Conformal factor 2 / (1 - |z|^2) of the disk metric at p."""
-    z = _as_complex(p)
-    return 2.0 / (1.0 - (z.real * z.real + z.imag * z.imag))
-
-
-def ball_area_hyp(R: float) -> float:
-    """Area 2 pi (cosh R - 1) of a hyperbolic ball of radius R.
-
-    Evaluated as 4 pi sinh^2(R/2), which is exact for tiny R where
-    cosh R rounds to 1.
-    """
-    if R < 0:
-        raise DomainError(f"ball radius must be nonnegative, got {R}")
-    s = math.sinh(0.5 * R)
-    return 4.0 * math.pi * s * s
 
 
 def hyperbolic_midpoint(p, q) -> complex:
@@ -126,10 +104,6 @@ class MobiusTransform:
 
     def __repr__(self):
         return f"MobiusTransform({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
 
     @classmethod
     def rotation(cls, theta: float) -> "MobiusTransform":

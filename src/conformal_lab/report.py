@@ -40,13 +40,17 @@ __all__ = [
 
 DEFAULT_CONFIG = {
     "k": 10,                  # sandwich depth
-    "slack_exact": 0.0,       # matrix-level facts
-    "slack_quad": 0.01,       # quadrature facts
-    "slack_mesh": 0.05,       # mesh facts
     "samples_per_edge": 8,    # diameter estimator resolution
     "curve_samples": 2049,    # systole sampling for length checks
     "embed_timestamp": False,
 }
+
+#: the DEFAULT_CONFIG keys a sweep reads
+SWEEP_CONFIG_KEYS = ("samples_per_edge", "curve_samples")
+
+SLACK_EXACT = 0.0   # matrix-level facts
+SLACK_QUAD = 0.01   # quadrature facts
+SLACK_MESH = 0.05   # mesh facts
 
 #: absolute guard for bounds that extremal members attain exactly
 EXACT_ABS_GUARD = 1e-9
@@ -177,9 +181,8 @@ def _merged_config(config):
     return cfg
 
 
-def _cylinder_entries(metric, cfg):
+def _cylinder_entries(metric):
     """Invariants of the rotationally symmetric neck profile."""
-    quad = cfg["slack_quad"]
     r = metric.grid_r
     f2 = metric.profile_convexity(r)
     curv = metric.curvature(r)
@@ -218,7 +221,7 @@ def _cylinder_entries(metric, cfg):
             "cylinder_seam_value",
             metric.profile(metric.match_radius),
             metric.a * math.cosh(metric.match_radius), "==",
-            quad, 0.0, True, "families.cylinder_profile",
+            SLACK_QUAD, 0.0, True, "families.cylinder_profile",
         ),
     ]
     return entries
@@ -226,9 +229,6 @@ def _cylinder_entries(metric, cfg):
 
 def _conformal_entries(metric, mesh, cfg):
     surface = metric.surface
-    exact = cfg["slack_exact"]
-    quad = cfg["slack_quad"]
-    mesh_slack = cfg["slack_mesh"]
     entries = []
 
     entries.append(_check(
@@ -237,19 +237,19 @@ def _conformal_entries(metric, mesh, cfg):
     ))
     entries.append(_check(
         "mesh_sigma_area", mesh.total_area_sigma(), surface.total_area, "==",
-        0.005 if mesh.level >= 3 else mesh_slack, 0.0, mesh.level >= 3,
+        0.005 if mesh.level >= 3 else SLACK_MESH, 0.0, mesh.level >= 3,
         "surface.SurfaceMesh.total_area_sigma",
     ))
     entries.append(_check(
         "euler_characteristic", mesh.euler_characteristic(), -2, "==",
-        exact, 0.0, True, "surface.SurfaceMesh.euler_characteristic",
+        SLACK_EXACT, 0.0, True, "surface.SurfaceMesh.euler_characteristic",
     ))
 
     def gauss():
         res = conformal.gauss_bonnet(metric, mesh)
         return _check(
             "gauss_bonnet_total_curvature", res.value, res.expected, "==",
-            quad, 0.0, True, "conformal.gauss_bonnet",
+            SLACK_QUAD, 0.0, True, "conformal.gauss_bonnet",
             detail=f"method={res.method}",
         )
     _guarded(entries, "gauss_bonnet_total_curvature", True, "conformal.gauss_bonnet", gauss)
@@ -266,7 +266,7 @@ def _conformal_entries(metric, mesh, cfg):
         entries.append(_check(
             "max_u_schwarz_bound", metric.u_max,
             conformal.schwarz_upper_bound(surface.inj_radius), "<=",
-            exact, EXACT_ABS_GUARD, True, "conformal.schwarz_upper_bound",
+            SLACK_EXACT, EXACT_ABS_GUARD, True, "conformal.schwarz_upper_bound",
         ))
     else:
         entries.append(_skip_entry(
@@ -282,7 +282,7 @@ def _conformal_entries(metric, mesh, cfg):
                 name,
                 geom.circle_integral_u(metric, center, radius),
                 geom.circle_lower_bound(metric.u_max, radius), ">=",
-                quad, EXACT_ABS_GUARD, True, "geom.circle_integral_u",
+                SLACK_QUAD, EXACT_ABS_GUARD, True, "geom.circle_integral_u",
             ))
         else:
             entries.append(_skip_entry(
@@ -294,7 +294,7 @@ def _conformal_entries(metric, mesh, cfg):
         def region():
             lhs, rhs = geom.region_integral_u(metric, center, 1.0)
             return _check(
-                name, lhs, rhs, ">=", quad, EXACT_ABS_GUARD, True,
+                name, lhs, rhs, ">=", SLACK_QUAD, EXACT_ABS_GUARD, True,
                 "geom.region_integral_u",
             )
         _guarded(entries, name, True, "geom.region_integral_u", region)
@@ -340,7 +340,7 @@ def _conformal_entries(metric, mesh, cfg):
             "radial_spike_length",
             metric.field.spike.radial_segment_length(),
             metric.field.spike.radial_length_bound(),
-            ">=", quad, 0.0, True, "families._PowerSpike.radial_segment_length",
+            ">=", SLACK_QUAD, 0.0, True, "families._PowerSpike.radial_segment_length",
         ))
 
     if metric.family == "dumbbell":
@@ -355,14 +355,14 @@ def _conformal_entries(metric, mesh, cfg):
             )
             yield _check(
                 "dumbbell_ramp_energy", bound.ramp_energy_pair,
-                bound.analytic_bound, "<=", quad, 0.0, True,
+                bound.analytic_bound, "<=", SLACK_QUAD, 0.0, True,
                 "spectral.dumbbell_test_bound",
                 detail="continuum Dirichlet energy of both ramps",
             )
         _guarded(entries, "dumbbell_lambda1_bound", True,
                  "spectral.dumbbell_test_bound", lambda: list(dumbbell_entries()))
 
-    bounds = entropy.katok_bounds(metric, mesh)
+    bounds = entropy.katok_bounds(metric)
     entries.append(_check(
         "katok_factor_cap", bounds.katok_factor, 1.0, "<=",
         0.0, 0.0, True, "entropy.katok_bounds",
@@ -378,11 +378,15 @@ def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
         raise UsageError(f"object {metric!r} is not a family metric")
     entropy_doc = None
     if family == "cylinder":
-        entries = _cylinder_entries(metric, cfg)
+        entries = _cylinder_entries(metric)
         level = None
     else:
         if mesh is None:
             raise UsageError("conformal verification needs a mesh")
+        if int(cfg["k"]) < 1:
+            raise UsageError(
+                f"conformal verification needs k >= 1, got {cfg['k']}"
+            )
         entries, bounds = _conformal_entries(metric, mesh, cfg)
         entropy_doc = bounds.to_dict()
         level = mesh.level
@@ -435,13 +439,6 @@ class SweepTable:
         if name not in self.columns:
             raise UsageError(f"unknown sweep column '{name}'")
         return [row[name] for row in self.rows if row[name] != ""]
-
-    def select(self, **match):
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in match.items()):
-                out.append(row)
-        return out
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -504,7 +501,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
             row["diameter"] = geom.diameter_estimate(
                 metric, mesh, samples_per_edge=int(cfg["samples_per_edge"])
             )
-            row["katok_factor"] = entropy.katok_bounds(metric, mesh).katok_factor
+            row["katok_factor"] = entropy.katok_bounds(metric).katok_factor
             if fam == "dumbbell":
                 row["dumbbell_bound"] = spectral.dumbbell_test_bound(
                     metric, mesh

@@ -320,11 +320,12 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
             f"dumbbell bound asked of family {getattr(metric, 'family', None)!r}"
         )
     field = metric.field
+    spike = field.spike
     system = assemble(metric, mesh)
     fs = []
     for anchor in field.anchors:
         r = _distances_to(mesh, anchor)
-        f_raw = field.ramp_values(r)
+        f_raw = spike.ramp_values(r)
         f = np.zeros(mesh.n_rep)
         f[mesh.rep] = f_raw
         fs.append(f)
@@ -332,14 +333,14 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
         raise ParameterError("dumbbell test-function supports overlap")
     r1 = rayleigh(system, fs[0])
     r2 = rayleigh(system, fs[1])
-    dR = field.delta_R
+    dR = spike.radial_length_bound()
     return DumbbellBound(
         rayleigh_1=r1,
         rayleigh_2=r2,
         total=r1 + r2,
         analytic_bound=metric.surface.total_area / (4.0 * dR * dR),
         delta_R=dR,
-        ramp_energy_pair=2.0 * field.ramp_energy(),
+        ramp_energy_pair=2.0 * spike.ramp_energy(),
     )
 
 

@@ -330,7 +330,7 @@ class SystoleGeodesic:
 
         s = np.linspace(-self.half_range, self.half_range, n)
         x = np.tanh(0.5 * s)
-        return Curve(samples=np.column_stack([x, np.zeros_like(x)]), closed=True)
+        return Curve(samples=np.column_stack([x, np.zeros_like(x)]))
 
 
 class HyperbolicSurface:

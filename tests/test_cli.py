@@ -148,6 +148,16 @@ def test_verify_incomplete_descriptor_exit_two(tmp_path, capsys, drop):
     assert "'shrinker'" in err and f"'{drop}'" in err
 
 
+def test_verify_k_below_one_exit_two(tmp_path, capsys):
+    desc = tmp_path / "dumbbell.json"
+    assert main([
+        "metric", "make", "--family", "dumbbell", "--eps", "0.2",
+        "--delta", "0.1", "--out", str(desc),
+    ]) == 0
+    assert main(["verify", "--metric", str(desc), "--level", "2", "--k", "0"]) == 2
+    assert "needs k >= 1, got 0" in capsys.readouterr().err
+
+
 def test_disconnected_mesh_exit_three(surface, disconnected_mesh3, monkeypatch, capsys):
     def diameter_command(args):
         geom.diameter_estimate(base_metric(surface), disconnected_mesh3)
@@ -203,12 +213,14 @@ def test_sweep_config_version_required(tmp_path, capsys):
         ({"levle": 2}, "'levle'"),
         ({"level": "x"}, "'level' must be an integer"),
         ({"level": 2.0}, "'level' must be an integer"),
-        ({"k": True}, "'k' must be an integer"),
+        ({"k": True}, "unknown key 'k'"),
         ({"samples_per_edge": None}, "'samples_per_edge' must be an integer"),
         ({"curve_samples": "x"}, "'curve_samples' must be an integer"),
-        ({"slack_quad": float("inf")}, "'slack_quad' must be a finite real number"),
-        ({"slack_mesh": "0.05"}, "'slack_mesh' must be a finite real number"),
-        ({"embed_timestamp": 1}, "'embed_timestamp' must be true or false"),
+        ({"slack_quad": float("inf")}, "unknown key 'slack_quad'"),
+        ({"slack_mesh": "0.05"}, "unknown key 'slack_mesh'"),
+        ({"embed_timestamp": 1}, "unknown key 'embed_timestamp'"),
+        ({"samples_per_edge": 0}, "'samples_per_edge' must be at least 1, got 0"),
+        ({"samples_per_edge": -3}, "'samples_per_edge' must be at least 1, got -3"),
     ],
 )
 def test_sweep_config_shape_exit_two(tmp_path, capsys, extra, message):

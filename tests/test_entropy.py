@@ -14,7 +14,7 @@ from conformal_lab.entropy import (
     katok_bounds,
     universal_gap,
 )
-from conformal_lab.errors import DomainError, ParameterError, UsageError
+from conformal_lab.errors import DomainError, ParameterError
 
 
 def test_base_factor_is_exactly_one(surface):
@@ -66,39 +66,6 @@ def test_katok_factor_decreases_with_shrinking(surface):
     f_mild = katok_bounds(families.make(surface, "shrinker", eps=0.5, delta=0.1))
     f_hard = katok_bounds(families.make(surface, "shrinker", eps=0.1, delta=0.1))
     assert f_hard.katok_factor < f_mild.katok_factor < 1.0
-
-
-def test_katok_base_entropy_override(surface):
-    metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    one = katok_bounds(metric)
-    two = katok_bounds(metric, base_entropy=2.0)
-    assert two.h_mu_upper == pytest.approx(2.0 * one.h_mu_upper, rel=1e-15)
-    assert two.h_top_lower == pytest.approx(2.0 * one.h_top_lower, rel=1e-15)
-    with pytest.raises(ParameterError):
-        katok_bounds(metric, base_entropy=0.0)
-
-
-def test_katok_mesh_fallback(surface, mesh4):
-    class TableField:
-        def exp_integral(self, power):
-            return None
-
-    metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    chart_value = katok_bounds(metric).katok_factor
-
-    class MeshOnlyMetric:
-        family = "mesh_only"
-        field = TableField()
-
-        def u_raw(self, mesh):
-            return metric.u_raw(mesh)
-
-    stub = MeshOnlyMetric()
-    stub.surface = surface
-    mesh_value = katok_bounds(stub, mesh4).katok_factor
-    assert mesh_value == pytest.approx(chart_value, rel=5e-3)
-    with pytest.raises(UsageError):
-        katok_bounds(stub)
 
 
 def test_entropy_dict_shape(surface):

@@ -121,12 +121,12 @@ def test_shrinker_parameter_guards(surface):
 def test_stretcher_peak_and_segment_oracles(surface, delta, u_max, seg):
     metric = families.make(surface, "stretcher", eps=0.2, delta=delta)
     assert metric.u_max == pytest.approx(u_max, rel=1e-9)
-    field = metric.field
-    assert field.radial_segment_length() == pytest.approx(seg, rel=1e-9)
+    spike = metric.field.spike
+    assert spike.radial_segment_length() == pytest.approx(seg, rel=1e-9)
     # The power zone is an exact log profile, so the quadrature length and
     # the closed-form lower bound coincide to roundoff.
-    assert field.radial_segment_length() == pytest.approx(
-        field.radial_length_bound(), rel=1e-12
+    assert spike.radial_segment_length() == pytest.approx(
+        spike.radial_length_bound(), rel=1e-12
     )
 
 
@@ -182,7 +182,8 @@ def test_dumbbell_anchors_are_mesh_vertices(surface, mesh3):
 )
 def test_dumbbell_separation_oracles(surface, delta, delta_R):
     metric = families.make(surface, "dumbbell", eps=0.2, delta=delta)
-    assert metric.field.delta_R == pytest.approx(delta_R, rel=1e-9)
+    spike = metric.field.spike
+    assert spike.radial_length_bound() == pytest.approx(delta_R, rel=1e-9)
 
 
 def test_dumbbell_profile_is_symmetric(surface):
@@ -209,16 +210,64 @@ def test_dumbbell_ramp_identity(surface):
     # energy equals annulus area / delta_R^2 exactly (conformal invariance
     # reduces both to the same sigma quadrature).
     metric = families.make(surface, "dumbbell", eps=0.2, delta=0.1)
-    field = metric.field
-    energy = field.ramp_energy()
-    area = field.annulus_area()
-    dR = field.delta_R
+    spike = metric.field.spike
+    energy = spike.ramp_energy()
+    area = spike.annulus_area()
+    dR = spike.radial_length_bound()
     assert energy == pytest.approx(area / (dR * dR), rel=1e-12)
 
 
 def test_dumbbell_overlapping_anchors_rejected(surface):
     with pytest.raises(ParameterError):
         dumbbell(surface, -0.05 + 0j, 0.05 + 0j, 0.2, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the field contract
+
+
+@pytest.mark.parametrize(
+    "family, eps, delta, C_repr",
+    [
+        ("stretcher", 0.2, 0.2, "0.9615219093573285"),
+        ("stretcher", 0.2, 0.1, "0.9619347762976928"),
+        ("stretcher", 0.2, 0.05, "0.9621985698065106"),
+        ("stretcher", 0.2, 0.01, "0.9625259206253032"),
+        ("stretcher", 0.1, 0.2, "0.9639873353538859"),
+        ("stretcher", 0.1, 0.1, "0.9618816864443621"),
+        ("stretcher", 0.1, 0.05, "0.9610333578744882"),
+        ("stretcher", 0.1, 0.01, "0.9604918752328666"),
+        ("dumbbell", 0.2, 0.2, "0.9210042959415031"),
+        ("dumbbell", 0.2, 0.1, "0.9218409116447694"),
+        ("dumbbell", 0.2, 0.05, "0.9223744471535519"),
+        ("dumbbell", 0.2, 0.01, "0.9230355489382344"),
+        ("dumbbell", 0.1, 0.2, "0.9264980461225305"),
+        ("dumbbell", 0.1, 0.1, "0.9220918322305325"),
+        ("dumbbell", 0.1, 0.05, "0.920308833257551"),
+        ("dumbbell", 0.1, 0.01, "0.9191627279428165"),
+    ],
+)
+def test_spike_constants_are_pinned(surface, family, eps, delta, C_repr):
+    # the default grid's stretcher and dumbbell constants, bit for bit
+    metric = families.make(surface, family, eps=eps, delta=delta)
+    assert repr(metric.C) == C_repr
+
+
+CONTRACT_PARAMS = {
+    "base": {},
+    "shrinker": {"eps": 0.2, "delta": 0.1},
+    "stretcher": {"eps": 0.2, "delta": 0.05},
+    "dumbbell": {"eps": 0.1, "delta": 0.05},
+    "nonpositive_radial": {"amplitude": 0.75},
+}
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILY_NAMES if f != "cylinder"])
+def test_field_chart_rules_return_finite_floats(surface, family):
+    field = families.make(surface, family, **CONTRACT_PARAMS[family]).field
+    for value in (field.exp_integral(1), field.exp_integral(2), field.laplacian_integral()):
+        assert isinstance(value, float)
+        assert math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Lengths, geodesics, circle and ball integrals, Green residuals."""
+"""Lengths, diameters, circle and ball integrals, Green residuals."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from conformal_lab import build_mesh, families, geom, report
 from conformal_lab.conformal import base_metric
-from conformal_lab.errors import DomainError, RangeError, TopologyError
+from conformal_lab.errors import DomainError, RangeError, TopologyError, UsageError
 from conformal_lab.geom import (
     Curve,
     CylinderChart,
@@ -21,11 +21,8 @@ from conformal_lab.geom import (
     circle_integral_u,
     circle_lower_bound,
     collar_green_residual,
-    conjugate_free_diameter_bound,
     curve_length,
-    curve_to_csv,
     diameter_estimate,
-    geodesic_shoot,
     jensen_lower_bound,
     region_integral_u,
 )
@@ -86,49 +83,6 @@ def test_jensen_bound_holds_for_deformed(surface):
     curve = surface.systole_geodesic().curve(n=513)
     l_g, bound = jensen_lower_bound(metric, curve)
     assert l_g >= bound - 1e-12 * max(1.0, abs(bound))
-
-
-def test_curve_to_csv_header_and_rows(surface):
-    base = base_metric(surface)
-    t = np.linspace(0.0, 0.4, 17)
-    curve = Curve(samples=np.column_stack([t, np.zeros_like(t)]))
-    text = curve_to_csv(base, curve)
-    lines = text.splitlines()
-    assert lines[0] == "s, x, y, u, speed"
-    assert len(lines) == 18
-    assert text.endswith("\n")
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 0.0 and first[3] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# geodesic shooting
-
-
-def test_shoot_base_travels_requested_distance(surface):
-    base = base_metric(surface)
-    curve = geodesic_shoot(base, 0.2 + 0.1j, 1.0 + 0.5j, 1.2)
-    end = complex(curve.samples[-1, 0], curve.samples[-1, 1])
-    assert disk_distance(0.2 + 0.1j, end) == pytest.approx(1.2, abs=1e-10)
-
-
-def test_shoot_records_unit_speed(surface):
-    base = base_metric(surface)
-    curve = geodesic_shoot(base, 0j, 1.0, 0.8)
-    pts = curve.samples
-    w = np.log(2.0 / (1.0 - np.sum(pts**2, axis=1)))
-    speed = np.exp(w) * np.abs(curve.velocities)
-    assert np.max(np.abs(speed - 1.0)) < 1e-10
-
-
-def test_shoot_guards(surface):
-    base = base_metric(surface)
-    with pytest.raises(DomainError):
-        geodesic_shoot(base, 0j, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        geodesic_shoot(base, 0j, 0.0, 1.0)
-    with pytest.raises(RangeError):
-        geodesic_shoot(base, 0.9 + 0j, 1.0, 13.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +262,12 @@ def test_diameter_rejects_disconnected_mesh(surface, disconnected_mesh3):
         diameter_estimate(base_metric(surface), disconnected_mesh3)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_diameter_rejects_samples_per_edge_below_one(surface, mesh2, samples):
+    with pytest.raises(UsageError):
+        diameter_estimate(base_metric(surface), mesh2, samples_per_edge=samples)
+
+
 def test_diameter_memory_is_linear(surface):
     mesh5 = build_mesh(surface.domain, 5)
     metric = families.make(surface, "shrinker", eps=0.1, delta=0.01)
@@ -319,9 +279,3 @@ def test_diameter_memory_is_linear(surface):
         tracemalloc.stop()
     # a tenth of the all-pairs distance matrix (13.4 MB at level 5)
     assert peak < 8 * mesh5.n_rep**2 / 10
-
-
-def test_conjugate_free_diameter_bound_formula():
-    val = conjugate_free_diameter_bound(2.0, 0.5, 4.0 * math.pi)
-    expected = 3.0 * math.sqrt(2.0) * math.sqrt(2.0 * math.pi * 4.0 * math.pi / 0.5)
-    assert val == pytest.approx(expected, rel=1e-14)

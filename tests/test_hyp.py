@@ -12,11 +12,9 @@ from conformal_lab.errors import ConstructionError, DomainError, PrecisionError
 from conformal_lab.hyp import (
     DiskPoint,
     MobiusTransform,
-    ball_area_hyp,
     disk_distance,
     hyperbolic_midpoint,
     pair_distances,
-    poincare_factor,
     tri_areas,
 )
 
@@ -51,26 +49,6 @@ def test_distance_is_mobius_invariant(a, b, t, theta):
     d0 = disk_distance(a, b)
     d1 = disk_distance(T.apply_z(a), T.apply_z(b))
     assert d1 == pytest.approx(d0, rel=1e-10, abs=1e-12)
-
-
-def test_ball_area_small_radius_is_quadratic():
-    # Area ~ pi R^2 for small R, and the sinh form avoids cancellation.
-    R = 1e-8
-    assert ball_area_hyp(R) == pytest.approx(math.pi * R * R, rel=1e-15)
-
-
-def test_ball_area_matches_cosh_form():
-    for R in (0.5, 1.0, 2.0, 5.0):
-        assert ball_area_hyp(R) == pytest.approx(2.0 * math.pi * (math.cosh(R) - 1.0), rel=1e-14)
-
-
-def test_ball_area_rejects_negative_radius():
-    with pytest.raises(DomainError):
-        ball_area_hyp(-0.1)
-
-
-def test_poincare_factor_at_origin():
-    assert poincare_factor(0j) == 2.0
 
 
 def test_disk_point_rejects_boundary():

@@ -175,10 +175,10 @@ def test_default_sweep_invariants(surface, mesh3):
         assert row["lambda1"] > -1e-10
         assert row["length_gamma"] > 0.0
         assert row["diameter"] > 0.0
-    for row in table.select(family="dumbbell"):
+    for row in [r for r in table.rows if r["family"] == "dumbbell"]:
         assert row["lambda1"] <= row["dumbbell_bound"] + 1e-8
     # Shrinker gamma-lengths hit their eps target.
-    for row in table.select(family="shrinker"):
+    for row in [r for r in table.rows if r["family"] == "shrinker"]:
         assert row["length_gamma"] == pytest.approx(row["eps"], rel=1e-6)
 
 
