@@ -2,21 +2,30 @@
 deformation profile (circle and region integrals, Green-type residuals).
 
 Curves are sampled in disk coordinates and measured by midpoint sampling
-of e^u; no geodesic is integrated here.  The Green residuals are checked
-by the acceptance tests only, not by verify reports.
+of e^u; no geodesic is integrated here.  The diameter is exact on the
+g-weighted edge graph: eccentricity-bound pruning, where each Dijkstra run
+also bounds the eccentricities from its images under the octagon
+symmetries that the metric's edge weights keep.  The Green residuals are
+checked by the acceptance tests only, not by verify reports.
 
 Collar computations use the normal-coordinate chart of the systole
 geodesic: r is the signed distance from the axis, s the position along
 it, with base metric dr^2 + cosh(r)^2 ds^2 and area element cosh(r).
 """
 
+import cmath
+import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, RangeError, TopologyError, UsageError
 from .hyp import MobiusTransform, _as_complex, pair_distances
+from .surface import GLUE_TOL
+
+log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
@@ -127,6 +136,85 @@ def _edge_weights(metric, mesh, samples_per_edge):
     return mesh.edge_len_sigma / k * total
 
 
+class _DiameterGraph(NamedTuple):
+    """Per-mesh structure of the representative edge graph and its symmetries.
+
+    `slots` holds the two CSR positions (both directions) of every raw
+    edge.  Row g of `rep_inverse` is g^-1 on representatives and row g of
+    `edge_perm` sends each raw edge to the index of its image under g;
+    row 0 is the identity.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray        # (2, n_edge) int32
+    rep_inverse: np.ndarray  # (n_sym, n_rep) int32
+    edge_perm: np.ndarray    # (n_sym, n_edge) int32
+
+
+def _octagon_symmetries(mesh):
+    """The maps z -> e^{ik pi/4} z and z -> e^{ik pi/4} conj(z) that carry
+    the glued mesh onto itself, identity first, as (rep_inverse, edge_perm).
+
+    A map is kept when it sends raw vertices to raw vertices within
+    GLUE_TOL, raw edges to raw edges, and glued copies to glued copies.
+    """
+    from scipy.spatial import cKDTree
+
+    z = mesh.xy[:, 0] + 1j * mesh.xy[:, 1]
+    n_raw = len(z)
+    edge_keys = mesh.edges.min(axis=1) * n_raw + mesh.edges.max(axis=1)
+    edge_order = np.argsort(edge_keys)
+    sorted_keys = edge_keys[edge_order]
+    tree = cKDTree(mesh.xy)
+    rep_inverse = np.empty((16, mesh.n_rep), dtype=np.int32)
+    edge_perm = np.empty((16, len(edge_keys)), dtype=np.int32)
+    rep_inverse[0] = np.arange(mesh.n_rep)
+    edge_perm[0] = np.arange(len(edge_keys))
+    count = 1
+    for flip in (False, True):
+        for k in range(1 - flip, 8):  # the identity is already in
+            image = (np.conj(z) if flip else z) * cmath.exp(1j * k * math.pi / 4.0)
+            dist, vmap = tree.query(np.column_stack([image.real, image.imag]))
+            if dist.max() > GLUE_TOL or np.unique(vmap).size != n_raw:
+                continue
+            rep_map = np.empty(mesh.n_rep, dtype=np.int64)
+            rep_map[mesh.rep] = mesh.rep[vmap]
+            if not np.array_equal(rep_map[mesh.rep], mesh.rep[vmap]):
+                continue
+            ends = vmap[mesh.edges]
+            keys = ends.min(axis=1) * n_raw + ends.max(axis=1)
+            pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+            if not np.array_equal(sorted_keys[pos], keys):
+                continue
+            rep_inverse[count, rep_map] = np.arange(mesh.n_rep)
+            edge_perm[count] = edge_order[pos]
+            count += 1
+    return rep_inverse[:count], edge_perm[:count]
+
+
+def _diameter_graph(mesh) -> _DiameterGraph:
+    """Representative edge CSR structure and mesh symmetries, cached."""
+    if mesh._diameter_graph is not None:
+        return mesh._diameter_graph
+    n = mesh.n_rep
+    r0 = mesh.rep[mesh.edges[:, 0]]
+    r1 = mesh.rep[mesh.edges[:, 1]]
+    keys = np.concatenate([r0 * n + r1, r1 * n + r0])
+    entries, slots = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(entries // n, minlength=n), out=indptr[1:])
+    rep_inverse, edge_perm = _octagon_symmetries(mesh)
+    mesh._diameter_graph = _DiameterGraph(
+        indptr=indptr,
+        indices=(entries % n).astype(np.int32),
+        slots=slots.astype(np.int32).reshape(2, -1),
+        rep_inverse=rep_inverse,
+        edge_perm=edge_perm,
+    )
+    return mesh._diameter_graph
+
+
 def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
     """Exact diameter of the g-weighted edge graph of the glued mesh.
 
@@ -139,6 +227,13 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
     bound on every vertex's eccentricity, and vertices whose upper bound
     cannot exceed the largest eccentricity found are dropped.  Memory is
     O(n) in the number of vertices.
+
+    Symmetry pruning: the octagon's rotations by pi/4 and its reflections
+    that carry the mesh onto itself are found once per mesh.  Each metric
+    keeps those that preserve every edge weight to 1e-13 relative, so a
+    run from v also gives the distances from every image g v, and all of
+    them tighten the bounds.  The diameter itself comes only from real
+    runs, and the pruning margin covers the round-off of the symmetry.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -148,23 +243,26 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
             f"samples_per_edge must be at least 1, got {samples_per_edge}"
         )
     weights = _edge_weights(metric, mesh, samples_per_edge)
-    r0 = mesh.rep[mesh.edges[:, 0]]
-    r1 = mesh.rep[mesh.edges[:, 1]]
-    lo = np.minimum(r0, r1)
-    hi = np.maximum(r0, r1)
-    keys = lo.astype(np.int64) * mesh.n_rep + hi
-    order = np.lexsort((weights, keys))
-    keys_sorted = keys[order]
-    first = np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])
-    sel = order[first]  # duplicate glued edges keep their minimum weight
+    structure = _diameter_graph(mesh)
+    data = np.full(len(structure.indices), np.inf)
+    # duplicate glued edges keep their minimum weight
+    for slots in structure.slots:
+        np.minimum.at(data, slots, weights)
     graph = csr_matrix(
-        (weights[sel], (lo[sel], hi[sel])), shape=(mesh.n_rep, mesh.n_rep)
+        (data, structure.indices, structure.indptr),
+        shape=(mesh.n_rep, mesh.n_rep),
     )
-    graph = (graph + graph.T).tocsr()
+    tol = 1e-13 * weights
+    keep = [0] + [
+        g for g in range(1, len(structure.edge_perm))
+        if np.all(np.abs(weights[structure.edge_perm[g]] - weights) <= tol)
+    ]
+    inverse = structure.rep_inverse[keep]
     ecc_lo = np.zeros(mesh.n_rep)
     ecc_hi = np.full(mesh.n_rep, np.inf)
     live = np.ones(mesh.n_rep, dtype=bool)
     diam = 0.0
+    runs = 0
     from_top = True
     while live.any():
         # alternate between the loosest upper and the lowest lower bound
@@ -174,16 +272,25 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
             v = int(np.argmin(np.where(live, ecc_lo, np.inf)))
         from_top = not from_top
         dist = dijkstra(graph, indices=v)
+        runs += 1
         ecc = dist.max()
         if not np.isfinite(ecc):
             raise TopologyError("mesh graph is disconnected")
         diam = max(diam, ecc)
-        np.maximum(ecc_lo, np.maximum(dist, ecc - dist), out=ecc_lo)
-        np.minimum(ecc_hi, ecc + dist, out=ecc_hi)
+        # row g: distances from g v, since d(g v, w) = d(v, g^-1 w)
+        images = dist[inverse]
+        near = images.min(axis=0)
+        np.maximum(ecc_lo, np.maximum(images.max(axis=0), ecc - near), out=ecc_lo)
+        np.minimum(ecc_hi, ecc + near, out=ecc_hi)
         live[v] = False
-        # the relative margin covers round-off in the triangle inequality,
-        # so no dropped vertex's computed eccentricity can exceed diam
+        # the relative margin covers round-off in the triangle inequality
+        # and in the symmetry, so no dropped vertex's computed eccentricity
+        # can exceed diam
         live &= ecc_hi * (1.0 + 1e-12) > diam
+    log.debug(
+        "diameter: %d Dijkstra runs, symmetry group of order %d",
+        runs, len(keep),
+    )
     return float(diam)
 
 

@@ -48,6 +48,9 @@ DEFAULT_CONFIG = {
 #: the DEFAULT_CONFIG keys a sweep reads
 SWEEP_CONFIG_KEYS = ("samples_per_edge", "curve_samples")
 
+#: the DEFAULT_CONFIG keys verify_metric reads
+VERIFY_CONFIG_KEYS = ("k", "curve_samples", "embed_timestamp")
+
 SLACK_EXACT = 0.0   # matrix-level facts
 SLACK_QUAD = 0.01   # quadrature facts
 SLACK_MESH = 0.05   # mesh facts
@@ -174,9 +177,15 @@ def _guarded(entries, name, enforced, refs, fn):
         entries.extend(out)
 
 
-def _merged_config(config):
+def _merged_config(config, keys):
+    """DEFAULT_CONFIG overridden by config, whose keys must be among keys."""
     cfg = dict(DEFAULT_CONFIG)
     if config:
+        unknown = sorted(set(config) - set(keys), key=str)
+        if unknown:
+            raise UsageError(
+                f"unknown config keys {unknown}; this call reads {list(keys)}"
+            )
         cfg.update(config)
     return cfg
 
@@ -372,10 +381,12 @@ def _conformal_entries(metric, mesh, cfg):
 
 def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
     """Run every applicable bound check and collect a structured report."""
-    cfg = _merged_config(config)
+    cfg = _merged_config(config, VERIFY_CONFIG_KEYS)
     family = getattr(metric, "family", None)
     if family is None:
         raise UsageError(f"object {metric!r} is not a family metric")
+    if int(cfg["k"]) < 1:
+        raise UsageError(f"verification needs k >= 1, got {cfg['k']}")
     entropy_doc = None
     if family == "cylinder":
         entries = _cylinder_entries(metric)
@@ -383,10 +394,6 @@ def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
     else:
         if mesh is None:
             raise UsageError("conformal verification needs a mesh")
-        if int(cfg["k"]) < 1:
-            raise UsageError(
-                f"conformal verification needs k >= 1, got {cfg['k']}"
-            )
         entries, bounds = _conformal_entries(metric, mesh, cfg)
         entropy_doc = bounds.to_dict()
         level = mesh.level
@@ -461,7 +468,7 @@ def _csv_cell(value):
 
 def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
     """One row of headline quantities per family member, grid order."""
-    cfg = _merged_config(config)
+    cfg = _merged_config(config, SWEEP_CONFIG_KEYS)
     if grid is None:
         grid = default_sweep_grid()
     if not isinstance(grid, (list, tuple)) or not all(

@@ -124,9 +124,15 @@ class SurfaceMesh:
     edge_len_sigma: np.ndarray
     tri_area_sigma: np.ndarray
     boundary_edge_count: int
-    _stiffness: object = field(default=None, repr=False, compare=False)
-    _ordering: object = field(default=None, repr=False, compare=False)
-    _sigma_vertex_mass: object = field(default=None, repr=False, compare=False)
+    # per-mesh caches, filled on first use; dataclasses.replace starts them empty
+    _stiffness: object = field(default=None, init=False, repr=False, compare=False)
+    _ordering: object = field(default=None, init=False, repr=False, compare=False)
+    _sigma_vertex_mass: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _diameter_graph: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_raw(self):

@@ -158,6 +158,17 @@ def test_verify_k_below_one_exit_two(tmp_path, capsys):
     assert "needs k >= 1, got 0" in capsys.readouterr().err
 
 
+def test_verify_k_below_one_exit_two_for_cylinder(tmp_path, capsys):
+    desc = tmp_path / "cyl.json"
+    rep = tmp_path / "report.json"
+    assert main(["metric", "make", "--family", "cylinder", "--out", str(desc)]) == 0
+    assert main([
+        "verify", "--metric", str(desc), "--k", "0", "--report", str(rep),
+    ]) == 2
+    assert "needs k >= 1, got 0" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_disconnected_mesh_exit_three(surface, disconnected_mesh3, monkeypatch, capsys):
     def diameter_command(args):
         geom.diameter_estimate(base_metric(surface), disconnected_mesh3)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import math
-
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -255,6 +258,80 @@ def test_diameter_equals_all_pairs_at_level4(surface, mesh4):
         assert diameter_estimate(metric, mesh4, samples_per_edge=8) == (
             _all_pairs_diameter(metric, mesh4, 8)
         ), params
+
+
+SYMMETRY_MEMBERS = [
+    ({"family": "base"}, 16),
+    ({"family": "nonpositive_radial", "amplitude": 0.5}, 16),
+    ({"family": "stretcher", "eps": 0.2, "delta": 0.1}, 16),
+    ({"family": "shrinker", "eps": 0.2, "delta": 0.1}, 4),
+    ({"family": "dumbbell", "eps": 0.2, "delta": 0.1}, 4),
+    ({"family": "stretcher", "eps": 0.2, "delta": 0.1, "p": [0.3, 0.1]}, 1),
+]
+
+
+def _diameter_and_group_order(caplog, metric, mesh):
+    """Diameter and kept symmetry group order, read from the debug log."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="conformal_lab.geom"):
+        diam = diameter_estimate(metric, mesh, samples_per_edge=8)
+    (order,) = [int(m) for r in caplog.records
+                for m in re.findall(r"symmetry group of order (\d+)", r.getMessage())]
+    return diam, order
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_diameter_symmetry_group_orders(surface, mesh3, caplog, level):
+    mesh = mesh3 if level == 3 else build_mesh(surface.domain, level)
+    for params, expected in SYMMETRY_MEMBERS:
+        metric = families.make(surface, **params)
+        assert _diameter_and_group_order(caplog, metric, mesh)[1] == expected, params
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "stretcher", "eps": 0.2, "delta": 0.1, "p": [0.3, 0.1]},
+    {"family": "dumbbell", "eps": 0.2, "delta": 0.1,
+     "p": [-0.3, 0.1], "q": [0.25, -0.15]},
+])
+def test_diameter_equals_all_pairs_without_symmetry(surface, mesh3, caplog, params):
+    metric = families.make(surface, **params)
+    diam, order = _diameter_and_group_order(caplog, metric, mesh3)
+    assert order == 1
+    assert diam == _all_pairs_diameter(metric, mesh3, 8)
+
+
+# Dijkstra runs at level 4 with samples_per_edge=8 before the symmetry
+# pruning: base 197, radial amplitude 0.25 199, radial amplitude 1.0 125
+@pytest.mark.parametrize("params, runs_before", [
+    ({"family": "base"}, 197),
+    ({"family": "nonpositive_radial", "amplitude": 0.25}, 199),
+    ({"family": "nonpositive_radial", "amplitude": 1.0}, 125),
+])
+def test_diameter_symmetry_halves_dijkstra_runs(surface, mesh4, monkeypatch,
+                                               params, runs_before):
+    runs = []
+
+    def counting_dijkstra(*args, **kwargs):
+        runs.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", counting_dijkstra)
+    metric = families.make(surface, **params)
+    diameter_estimate(metric, mesh4, samples_per_edge=8)
+    assert 0 < len(runs) <= runs_before // 2
+
+
+def test_diameter_cache_does_not_follow_replace(surface, mesh3):
+    """Like disconnected_mesh3, but cut after mesh3's cache is filled."""
+    diameter_estimate(base_metric(surface), mesh3)
+    assert mesh3._diameter_graph is not None
+    cut = mesh3.rep[mesh3.edges[0, 0]]
+    keep = np.all(mesh3.rep[mesh3.edges] != cut, axis=1)
+    disconnected = dataclasses.replace(
+        mesh3, edges=mesh3.edges[keep], edge_len_sigma=mesh3.edge_len_sigma[keep]
+    )
+    with pytest.raises(TopologyError, match="disconnected"):
+        diameter_estimate(base_metric(surface), disconnected)
 
 
 def test_diameter_rejects_disconnected_mesh(surface, disconnected_mesh3):

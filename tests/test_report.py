@@ -142,6 +142,11 @@ def test_report_entry_lookup_guard(surface, mesh3):
         report.entry("no_such_check")
 
 
+def test_verify_rejects_unknown_config_key(surface, mesh3):
+    with pytest.raises(UsageError, match="samples_per_edge"):
+        verify_metric(base_metric(surface), mesh3, {"k": 2, "samples_per_edge": 4})
+
+
 def test_verify_guards(surface, mesh3):
     with pytest.raises(UsageError):
         verify_metric(object(), mesh3)
@@ -151,6 +156,14 @@ def test_verify_guards(surface, mesh3):
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+def test_sweep_rejects_unknown_config_key(surface, mesh3):
+    grid = [{"family": "nonpositive_radial", "amplitude": 0.5}]
+    with pytest.raises(UsageError, match="bogus"):
+        sweep(surface, mesh3, grid, {"samples_per_edge": 4, "bogus": 1})
+    with pytest.raises(UsageError, match="'k'"):
+        sweep(surface, mesh3, grid, {"k": 5})
 
 
 def test_default_grid_shape():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conformal_lab import spectral
+from conformal_lab.conformal import base_metric
+from conformal_lab.geom import diameter_estimate
 from conformal_lab.surface import (
     HyperbolicSurface,
     SurfaceMesh,
@@ -106,6 +110,17 @@ def test_mesh_json_roundtrip(mesh2):
     assert back.n_rep == mesh2.n_rep
     assert np.array_equal(back.tris, mesh2.tris)
     assert np.allclose(back.xy, mesh2.xy, atol=0.0)
+
+
+def test_replace_starts_mesh_caches_empty(surface, mesh2):
+    cached = SurfaceMesh.from_json(mesh2.to_json())
+    spectral.dissection_order(cached)
+    spectral.sigma_vertex_mass(cached)
+    diameter_estimate(base_metric(surface), cached)
+    caches = ("_stiffness", "_ordering", "_sigma_vertex_mass", "_diameter_graph")
+    assert all(getattr(cached, name) is not None for name in caches)
+    copy = dataclasses.replace(cached, tris=cached.tris.copy())
+    assert all(getattr(copy, name) is None for name in caches)
 
 
 def test_build_mesh_rejects_bad_level(surface):
