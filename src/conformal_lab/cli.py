@@ -1,9 +1,9 @@
 """Command-line front end: meshes, metrics, spectra, reports, sweeps.
 
-Exit codes: 0 everything passed, 1 a verification failed, 2 the request
-itself was unusable (bad flags, infeasible parameters, malformed config),
-3 a numerical routine broke down.  Argparse handles its own usage errors
-with code 2, which matches the convention.
+Exit codes: 0 everything passed, 1 a verification failed, 2 or 3 an error
+stopped the command, by its class (see `errors`): 2 the request itself
+was unusable, 3 a numerical routine broke down.  Argparse handles its own
+usage errors with code 2, which matches the convention.
 """
 
 import argparse
@@ -11,39 +11,8 @@ import json
 import sys
 
 from . import conformal, entropy, families, report, spectral
-from .errors import (
-    ConstructionError,
-    LabError,
-    MeshQualityError,
-    NormalizationError,
-    NumericError,
-    PrecisionError,
-    TopologyError,
-    UsageError,
-)
+from .errors import LabError, UsageError
 from .surface import HyperbolicSurface, build_mesh
-
-# every other LabError (parameters, usage, domain, range) exits 2
-NUMERIC_ERRORS = (
-    NumericError,
-    PrecisionError,
-    NormalizationError,
-    ConstructionError,
-    TopologyError,
-    MeshQualityError,
-)
-
-#: top-level keys a sweep config may carry
-CONFIG_KEYS = ("version", "level", "grid", *report.SWEEP_CONFIG_KEYS)
-
-#: config keys whose value must be an integer; version and grid are
-#: checked on their own
-INT_KEYS = ("level", *report.SWEEP_CONFIG_KEYS)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -98,7 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(path) -> dict:
+def load_config(path):
+    """(level, grid, other keys) of a sweep config file.
+
+    The file's own shape is checked here; report.sweep checks the other
+    keys, as it does for every caller.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -108,19 +82,13 @@ def load_config(path) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise UsageError(f"config file {path} must carry a top-level version")
-    if doc["version"] != 1:
-        raise UsageError(f"unsupported config version {doc['version']!r}")
-    for key, value in doc.items():
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"config file {path} has unknown key {key!r}")
-        if key in INT_KEYS and not _is_int(value):
-            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
-    if doc.get("samples_per_edge", 1) < 1:
-        raise UsageError(
-            "config key 'samples_per_edge' must be at least 1, "
-            f"got {doc['samples_per_edge']!r}"
-        )
-    return doc
+    version = doc.pop("version")
+    if version != 1:
+        raise UsageError(f"unsupported config version {version!r}")
+    level = doc.pop("level", 3)
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise UsageError(f"config key 'level' must be an integer, got {level!r}")
+    return level, doc.pop("grid", None), doc
 
 
 def _write_or_print(text, path):
@@ -219,10 +187,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = load_config(args.config)
-    level = args.level if args.level is not None else doc.get("level", 3)
-    grid = doc.get("grid")
-    config = {k: doc[k] for k in report.SWEEP_CONFIG_KEYS if k in doc}
+    level, grid, config = load_config(args.config)
+    if args.level is not None:
+        level = args.level
     surface = HyperbolicSurface()
     mesh = build_mesh(surface.domain, level)
     table = report.sweep(surface, mesh, grid, config)
@@ -268,12 +235,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except NUMERIC_ERRORS as exc:
+    except LabError as exc:
+        if isinstance(exc, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

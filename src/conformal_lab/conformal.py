@@ -232,12 +232,6 @@ def total_area(metric, mesh=None, method="chart"):
     return float(np.sum(mesh.tri_area_sigma * per_tri))
 
 
-def gaussian_curvature(metric, x, y):
-    """Curvature of g at disk points."""
-    lap = metric.field.laplacian(x, y)
-    return -np.exp(-2.0 * metric.field.values(x, y)) * (1.0 + lap)
-
-
 @dataclass(frozen=True)
 class NonpositivityResult:
     nonpositive: bool

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all conformal_lab modules."""
+"""Exception hierarchy shared by all conformal_lab modules.
+
+The base classes carry the command-line exit code: a LabError that is a
+ValueError means the request itself was unusable (exit 2); every other
+LabError is a numerical or geometric breakdown (exit 3).
+"""
 
 
 class LabError(Exception):
@@ -11,10 +16,6 @@ class DomainError(LabError, ValueError):
 
 class RangeError(LabError, ValueError):
     """Evaluation left the region where a field or chart is defined."""
-
-
-class PrecisionError(LabError, ArithmeticError):
-    """A result landed too close to a numerical boundary to be trusted."""
 
 
 class ConstructionError(LabError, RuntimeError):

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import conformal
-from .errors import ConstructionError, DomainError, ParameterError, UsageError
+from .errors import ConstructionError, ParameterError, UsageError
 from .hyp import DiskPoint, MobiusTransform, _as_complex, disk_distance, pair_distances
 from .surface import HyperbolicSurface
 
@@ -84,17 +84,6 @@ def bump_jet(x, a):
     return phi, d1, d2
 
 
-def bump(t, a):
-    """C-infinity plateau bump: 1 on |t| <= a/2, 0 on |t| >= a."""
-    if a <= 0:
-        raise DomainError(f"bump half-width must be positive, got {a}")
-    t = np.asarray(t, dtype=float)
-    phi, _, _ = bump_jet(np.abs(t), a)
-    if phi.ndim == 0:
-        return float(phi)
-    return phi
-
-
 def _simpson_linear(fn, lo, hi, n=1025):
     x = np.linspace(lo, hi, n)
     return float(simpson(fn(x), x=x))
@@ -133,6 +122,20 @@ def _ray_points(anchor, radii):
 
 # ---------------------------------------------------------------------------
 # collar shrinker
+
+
+@functools.lru_cache(maxsize=1)
+def _collar_table(delta):
+    """(r, phi, phi', phi'', cosh r, tanh r) on the collar quadrature grid.
+
+    Read-only and cached for the last delta, so the normalization
+    bisection of one shrinker evaluates the bump once.
+    """
+    r = np.linspace(0.0, delta, 4097)
+    table = (r, *bump_jet(r, delta), np.cosh(r), np.tanh(r))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 class ShrinkerField(conformal.ScalarField):
@@ -174,20 +177,17 @@ class ShrinkerField(conformal.ScalarField):
         return min(-self.depth, self.C), max(-self.depth, self.C)
 
     def exp_integral(self, power):
-        def fn(r):
-            v, _, _ = self._profile_jet(r)
-            return np.exp(power * v) * np.cosh(r)
-
-        collar = 2.0 * self.sys * _simpson_linear(fn, 0.0, self.delta, n=4097)
+        r, phi, _, _, cosh, _ = _collar_table(self.delta)
+        v = self.C - (self.depth + self.C) * phi
+        collar = 2.0 * self.sys * float(simpson(np.exp(power * v) * cosh, x=r))
         outside = self.base_area - 2.0 * self.sys * math.sinh(self.delta)
         return collar + math.exp(power * self.C) * outside
 
     def laplacian_integral(self):
-        def fn(r):
-            _, g1, g2 = self._profile_jet(r)
-            return (g2 + np.tanh(r) * g1) * np.cosh(r)
-
-        return 2.0 * self.sys * _simpson_linear(fn, 0.0, self.delta, n=4097)
+        r, _, d1, d2, cosh, tanh = _collar_table(self.delta)
+        amp = self.depth + self.C
+        lap = (-amp * d2 + tanh * (-amp * d1)) * cosh
+        return 2.0 * self.sys * float(simpson(lap, x=r))
 
     def sign_probe_points(self):
         r = np.linspace(0.0, self.delta, 2049)
@@ -645,14 +645,13 @@ class CylinderMetric:
 
     family = "cylinder"
 
-    def __init__(self, a, neck, match_radius, grid_r, f2_table, f1_table, f_table,
+    def __init__(self, a, neck, match_radius, grid_r, f2_table, f_table,
                  plateau_width, params):
         self.a = a
         self.neck = neck
         self.match_radius = match_radius
         self.grid_r = grid_r
         self._f2 = f2_table
-        self._f1 = f1_table
         self._f = f_table
         self.plateau_width = plateau_width
         self.params = params
@@ -665,15 +664,6 @@ class CylinderMetric:
         r, outside = self._split(r)
         vals = np.interp(r, self.grid_r, self._f)
         vals = np.where(outside, self.a * np.cosh(r), vals)
-        return vals if vals.ndim else float(vals)
-
-    def profile_slope(self, r):
-        rr = np.asarray(r, dtype=float)
-        sign = np.sign(rr)
-        r, outside = self._split(rr)
-        vals = np.interp(r, self.grid_r, self._f1)
-        vals = np.where(outside, self.a * np.sinh(r), vals)
-        vals = sign * vals
         return vals if vals.ndim else float(vals)
 
     def profile_convexity(self, r):
@@ -761,7 +751,6 @@ def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
         match_radius=m,
         grid_r=t,
         f2_table=f2,
-        f1_table=f1,
         f_table=f,
         plateau_width=w - width1,
         params={"a": a, "neck": target_neck, "match_radius": m},

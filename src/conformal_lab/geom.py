@@ -72,18 +72,6 @@ class CylinderChart:
         t = np.tanh(0.5 * s)
         return (w + t) / (1.0 + t * w)
 
-    def from_disk(self, x, y):
-        """(r, s) coordinates of disk points."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        nrm = x * x + y * y
-        r = np.arcsinh(2.0 * y / (1.0 - nrm))
-        s = np.arctanh(2.0 * x / (1.0 + nrm))
-        return r, s
-
-    def area_element(self, r):
-        return np.cosh(np.asarray(r, dtype=float))
-
 
 def _check_in_disk(samples):
     if np.any(np.sum(samples**2, axis=1) >= 1.0):
@@ -195,8 +183,8 @@ def _octagon_symmetries(mesh):
 
 def _diameter_graph(mesh) -> _DiameterGraph:
     """Representative edge CSR structure and mesh symmetries, cached."""
-    if mesh._diameter_graph is not None:
-        return mesh._diameter_graph
+    if "diameter_graph" in mesh._cache:
+        return mesh._cache["diameter_graph"]
     n = mesh.n_rep
     r0 = mesh.rep[mesh.edges[:, 0]]
     r1 = mesh.rep[mesh.edges[:, 1]]
@@ -205,14 +193,14 @@ def _diameter_graph(mesh) -> _DiameterGraph:
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(entries // n, minlength=n), out=indptr[1:])
     rep_inverse, edge_perm = _octagon_symmetries(mesh)
-    mesh._diameter_graph = _DiameterGraph(
+    mesh._cache["diameter_graph"] = _DiameterGraph(
         indptr=indptr,
         indices=(entries % n).astype(np.int32),
         slots=slots.astype(np.int32).reshape(2, -1),
         rep_inverse=rep_inverse,
         edge_perm=edge_perm,
     )
-    return mesh._diameter_graph
+    return mesh._cache["diameter_graph"]
 
 
 def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:

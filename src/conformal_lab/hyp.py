@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, PrecisionError
-
-# Disk points this close to |z| = 1 are treated as numerically on the
-# boundary by MobiusTransform.apply.
-BOUNDARY_GUARD = 1e-14
+from .errors import ConstructionError, DomainError
 
 
 @dataclass(frozen=True)
@@ -125,17 +121,8 @@ class MobiusTransform:
         g = 1.0 / math.sqrt(1.0 - abs(w) ** 2)
         return cls(g, w * g, w.conjugate() * g, g)
 
-    def apply_z(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def apply(self, p) -> DiskPoint:
-        z = self.apply_z(_as_complex(p))
-        if abs(z) >= 1.0 - BOUNDARY_GUARD:
-            raise PrecisionError(f"image {z} is numerically on the disk boundary")
-        return DiskPoint(z.real, z.imag)
-
     def apply_many(self, z):
-        """Vectorized apply on a complex numpy array."""
+        """The map applied to a complex number or numpy array."""
         return (self.a * z + self.b) / (self.c * z + self.d)
 
     def compose(self, other: "MobiusTransform") -> "MobiusTransform":

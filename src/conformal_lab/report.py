@@ -38,6 +38,9 @@ __all__ = [
     "SweepTable",
 ]
 
+#: every config key and its default; the default's type is the rule for
+#: a given value: an int default takes an int >= 1 (not a bool), a bool
+#: default a bool
 DEFAULT_CONFIG = {
     "k": 10,                  # sandwich depth
     "samples_per_edge": 8,    # diameter estimator resolution
@@ -178,15 +181,32 @@ def _guarded(entries, name, enforced, refs, fn):
 
 
 def _merged_config(config, keys):
-    """DEFAULT_CONFIG overridden by config, whose keys must be among keys."""
+    """DEFAULT_CONFIG overridden by config, checked for every caller.
+
+    Each key of config must be among keys, and each value must follow
+    its default's type (see DEFAULT_CONFIG).
+    """
+    if not isinstance(config, (dict, type(None))):
+        raise UsageError(f"config must be a dict, got {type(config).__name__}")
     cfg = dict(DEFAULT_CONFIG)
-    if config:
-        unknown = sorted(set(config) - set(keys), key=str)
-        if unknown:
+    for key, value in (config or {}).items():
+        if key not in keys:
             raise UsageError(
-                f"unknown config keys {unknown}; this call reads {list(keys)}"
+                f"config has unknown key {key!r}; this call reads {list(keys)}"
             )
-        cfg.update(config)
+        if isinstance(DEFAULT_CONFIG[key], bool):
+            if not isinstance(value, bool):
+                raise UsageError(
+                    f"config key {key!r} must be true or false, got {value!r}"
+                )
+        elif not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+        elif value < 1:
+            raise UsageError(
+                f"config key {key!r} must be at least 1, got {value!r}: "
+                f"the run needs {key} >= 1, got {value!r}"
+            )
+        cfg[key] = value
     return cfg
 
 
@@ -313,7 +333,7 @@ def _conformal_entries(metric, mesh, cfg):
             "needs nonpositive curvature and max u >= 0 at the center",
         ))
 
-    k = int(cfg["k"])
+    k = cfg["k"]
     base_result = base_spectrum(surface, mesh, k)
     deformed = spectral.eigenvalues(spectral.assemble(metric, mesh), k)
     sandwich = spectral.conformal_eigen_sandwich(
@@ -326,7 +346,7 @@ def _conformal_entries(metric, mesh, cfg):
     ))
 
     gamma = surface.systole_geodesic()
-    curve = gamma.curve(int(cfg["curve_samples"]))
+    curve = gamma.curve(cfg["curve_samples"])
     length_g, jensen = geom.jensen_lower_bound(metric, curve)
     entries.append(_check(
         "systole_jensen_consistency", length_g, jensen, ">=",
@@ -385,8 +405,6 @@ def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
     family = getattr(metric, "family", None)
     if family is None:
         raise UsageError(f"object {metric!r} is not a family metric")
-    if int(cfg["k"]) < 1:
-        raise UsageError(f"verification needs k >= 1, got {cfg['k']}")
     entropy_doc = None
     if family == "cylinder":
         entries = _cylinder_entries(metric)
@@ -401,7 +419,7 @@ def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
         "family": family,
         "params": dict(metric.params),
         "level": level,
-        "k": int(cfg["k"]),
+        "k": cfg["k"],
         "timestamp": datetime.now(timezone.utc).isoformat()
         if cfg["embed_timestamp"] else None,
     }
@@ -441,12 +459,6 @@ class SweepTable:
     rows: list
     columns: tuple = SWEEP_COLUMNS
 
-    def column(self, name):
-        """Values of one column for rows where it is populated."""
-        if name not in self.columns:
-            raise UsageError(f"unknown sweep column '{name}'")
-        return [row[name] for row in self.rows if row[name] != ""]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -454,10 +466,6 @@ class SweepTable:
         for row in self.rows:
             writer.writerow([_csv_cell(row[c]) for c in self.columns])
         return buf.getvalue()
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def _csv_cell(value):
@@ -477,7 +485,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
         raise UsageError("sweep grid must be a list of JSON objects")
     if not grid:
         raise UsageError("sweep grid is empty")
-    gamma_curve = surface.systole_geodesic().curve(int(cfg["curve_samples"]))
+    gamma_curve = surface.systole_geodesic().curve(cfg["curve_samples"])
     rows = []
     for spec_params in grid:
         params = dict(spec_params)
@@ -506,7 +514,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
             row["lambda1"] = float(result.eigenvalues[1])
             row["length_gamma"] = geom.curve_length(metric, gamma_curve)
             row["diameter"] = geom.diameter_estimate(
-                metric, mesh, samples_per_edge=int(cfg["samples_per_edge"])
+                metric, mesh, samples_per_edge=cfg["samples_per_edge"]
             )
             row["katok_factor"] = entropy.katok_bounds(metric).katok_factor
             if fam == "dumbbell":

@@ -48,8 +48,8 @@ DISSECTION_LEAF = 64   # index sets this small are not split further
 
 def cotangent_stiffness(mesh) -> sp.csr_matrix:
     """Cotangent stiffness on representative vertices, cached on the mesh."""
-    if mesh._stiffness is not None:
-        return mesh._stiffness
+    if "stiffness" in mesh._cache:
+        return mesh._cache["stiffness"]
     x = mesh.xy[:, 0]
     y = mesh.xy[:, 1]
     t = mesh.tris
@@ -78,7 +78,7 @@ def cotangent_stiffness(mesh) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.n_rep, mesh.n_rep),
     ).tocsr()
-    mesh._stiffness = K
+    mesh._cache["stiffness"] = K
     return K
 
 
@@ -91,8 +91,8 @@ def dissection_order(mesh):
     included, so it separates the halves on the closed surface; order
     lower, rest of upper, separator, recursively.  Cached on the mesh.
     """
-    if mesh._ordering is not None:
-        return mesh._ordering
+    if "dissection_order" in mesh._cache:
+        return mesh._cache["dissection_order"]
     K = cotangent_stiffness(mesh)
     adjacency = sp.csr_matrix(
         (np.ones(K.nnz), K.indices, K.indptr), shape=K.shape
@@ -119,8 +119,8 @@ def dissection_order(mesh):
 
     dissect(np.arange(mesh.n_rep))
     perm = np.concatenate(pieces)
-    mesh._ordering = (perm, K[perm][:, perm].tocsc())
-    return mesh._ordering
+    mesh._cache["dissection_order"] = (perm, K[perm][:, perm].tocsc())
+    return mesh._cache["dissection_order"]
 
 
 def _shift_invert(system) -> spla.LinearOperator:
@@ -140,18 +140,6 @@ def _shift_invert(system) -> spla.LinearOperator:
 
     n = system.dimension
     return spla.LinearOperator((n, n), matvec=solve, dtype=float)
-
-
-def sigma_vertex_mass(mesh) -> np.ndarray:
-    """Lumped base-metric vertex masses (one third of adjacent areas)."""
-    if mesh._sigma_vertex_mass is not None:
-        return mesh._sigma_vertex_mass
-    m = np.zeros(mesh.n_rep)
-    third = mesh.tri_area_sigma / 3.0
-    for local in range(3):
-        np.add.at(m, mesh.rep[mesh.tris[:, local]], third)
-    mesh._sigma_vertex_mass = m
-    return m
 
 
 @dataclass
@@ -201,8 +189,8 @@ def assemble(metric, mesh) -> SpectralSystem:
 class SpectralResult:
     eigenvalues: np.ndarray      # nondecreasing, length k+1
     vectors: np.ndarray          # (dimension, k+1), M-orthonormal columns
-    residuals: np.ndarray        # ||K v - lambda M v|| / ||v||
-    backward_errors: np.ndarray  # residual scaled by matrix norms
+    residuals: np.ndarray        # ||K v - lambda M v||_{M^-1} / ||v||_M
+    backward_errors: np.ndarray  # ||K v - lambda M v|| scaled by matrix norms
     level: int
     dimension: int
 
@@ -214,17 +202,25 @@ class SpectralResult:
 
 
 def _residuals(K, mass, vals, vecs):
+    """(residual, backward error) of each computed pair (lambda, v).
+
+    The residual is ||K v - lambda M v||_{M^-1} / ||v||_M: by Weinstein's
+    bound the pencil has an eigenvalue within that distance of lambda
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  The backward
+    error scales the Euclidean residual by the matrix norms.
+    """
     norm_K = float(np.max(np.abs(K).sum(axis=1)))
     norm_M = float(np.max(mass))
-    raw = np.empty(len(vals))
+    weighted = np.empty(len(vals))
     scaled = np.empty(len(vals))
     for j, lam in enumerate(vals):
         v = vecs[:, j]
-        r = float(np.linalg.norm(K @ v - lam * (mass * v)))
-        nv = float(np.linalg.norm(v))
-        raw[j] = r / nv
-        scaled[j] = r / ((norm_K + abs(lam) * norm_M) * nv)
-    return raw, scaled
+        r = K @ v - lam * (mass * v)
+        weighted[j] = math.sqrt(float(r @ (r / mass)) / float(v @ (mass * v)))
+        scaled[j] = float(np.linalg.norm(r)) / (
+            (norm_K + abs(lam) * norm_M) * float(np.linalg.norm(v))
+        )
+    return weighted, scaled
 
 
 def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResult:
@@ -272,11 +268,11 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
         vals = vals[order]
         vecs = vecs[:, order]
 
-    raw, scaled = _residuals(K, mass, vals, vecs)
+    weighted, scaled = _residuals(K, mass, vals, vecs)
     return SpectralResult(
         eigenvalues=np.asarray(vals, dtype=float),
         vectors=vecs,
-        residuals=raw,
+        residuals=weighted,
         backward_errors=scaled,
         level=system.mesh.level,
         dimension=n,

@@ -124,15 +124,9 @@ class SurfaceMesh:
     edge_len_sigma: np.ndarray
     tri_area_sigma: np.ndarray
     boundary_edge_count: int
-    # per-mesh caches, filled on first use; dataclasses.replace starts them empty
-    _stiffness: object = field(default=None, init=False, repr=False, compare=False)
-    _ordering: object = field(default=None, init=False, repr=False, compare=False)
-    _sigma_vertex_mass: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _diameter_graph: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # derived data, one entry per producing module, filled on first use;
+    # dataclasses.replace starts it empty
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_raw(self):
@@ -149,14 +143,6 @@ class SurfaceMesh:
     def total_area_sigma(self) -> float:
         return float(np.sum(self.tri_area_sigma))
 
-    def edge_tri_counts(self):
-        """Number of incident triangles per raw edge (glued pairs sum to 2)."""
-        idx = {tuple(e): 0 for e in self.edges.tolist()}
-        for a, b, c in self.tris.tolist():
-            for i, j in ((a, b), (b, c), (c, a)):
-                idx[(min(i, j), max(i, j))] += 1
-        return np.array([idx[tuple(e)] for e in self.edges.tolist()])
-
     def to_json(self) -> str:
         doc = {
             "version": 1,
@@ -170,22 +156,6 @@ class SurfaceMesh:
             "boundary_edge_count": int(self.boundary_edge_count),
         }
         return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurfaceMesh":
-        doc = json.loads(text)
-        rep = np.asarray(doc["rep"], dtype=np.int64)
-        return cls(
-            xy=np.asarray(doc["vertices"], dtype=float),
-            tris=np.asarray(doc["tris"], dtype=np.int64),
-            rep=rep,
-            n_rep=int(rep.max()) + 1,
-            level=int(doc["level"]),
-            edges=np.asarray(doc["edges"], dtype=np.int64),
-            edge_len_sigma=np.asarray(doc["len_sigma"], dtype=float),
-            tri_area_sigma=np.asarray(doc["tri_area_sigma"], dtype=float),
-            boundary_edge_count=int(doc["boundary_edge_count"]),
-        )
 
 
 class _UnionFind:
@@ -349,7 +319,6 @@ class HyperbolicSurface:
         self.inj_radius = 0.5 * self.systole
         self.total_area = self.domain.area
         self.euler = -2
-        self.base_spectrum_cache = {}
 
     def systole_geodesic(self) -> SystoleGeodesic:
         from .geom import CylinderChart
@@ -361,14 +330,14 @@ class HyperbolicSurface:
 
 
 def base_spectrum(surface: HyperbolicSurface, mesh: SurfaceMesh, k: int):
-    """First k+1 eigenvalues of the base metric on this mesh, cached."""
+    """First k+1 eigenvalues of the base metric on this mesh, cached on it."""
     from . import spectral
     from .conformal import base_metric
 
-    cached = surface.base_spectrum_cache.get(mesh.level)
+    cached = mesh._cache.get("base_spectrum")
     if cached is not None and len(cached.eigenvalues) >= k + 1:
         return cached
     system = spectral.assemble(base_metric(surface), mesh)
     result = spectral.eigenvalues(system, k)
-    surface.base_spectrum_cache[mesh.level] = result
+    mesh._cache["base_spectrum"] = result
     return result

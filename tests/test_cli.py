@@ -6,9 +6,23 @@ import json
 
 import pytest
 
-from conformal_lab import cli, geom
+from conformal_lab import cli, errors, geom
 from conformal_lab.cli import main
 from conformal_lab.conformal import base_metric
+
+#: the exit code each error class must give: 2 an unusable request,
+#: 3 a numerical breakdown
+EXIT_CODES = {
+    "ConstructionError": 3,
+    "DomainError": 2,
+    "MeshQualityError": 3,
+    "NormalizationError": 3,
+    "NumericError": 3,
+    "ParameterError": 2,
+    "RangeError": 2,
+    "TopologyError": 3,
+    "UsageError": 2,
+}
 
 
 def test_help_exits_zero():
@@ -177,6 +191,22 @@ def test_disconnected_mesh_exit_three(surface, disconnected_mesh3, monkeypatch, 
     monkeypatch.setattr(cli, "_dispatch", diameter_command)
     assert main(["mesh", "build", "--level", "0"]) == 3
     assert "numeric error: mesh graph is disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error_class",
+    sorted(errors.LabError.__subclasses__(), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__,
+)
+def test_error_class_exit_code(monkeypatch, capsys, error_class):
+    def failing_command(args):
+        raise error_class("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", failing_command)
+    code = EXIT_CODES[error_class.__name__]
+    assert main(["mesh", "build", "--level", "0"]) == code
+    prefix = "error: " if code == 2 else "numeric error: "
+    assert capsys.readouterr().err == prefix + "boom\n"
 
 
 def test_sweep_runs_small_grid(tmp_path, capsys):

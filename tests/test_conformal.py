@@ -13,7 +13,6 @@ from conformal_lab.conformal import (
     base_metric,
     from_descriptor,
     gauss_bonnet,
-    gaussian_curvature,
     make_metric,
     nonpositivity_check,
     normalize_area_quadratic,
@@ -65,7 +64,9 @@ def test_base_curvature_is_minus_one(surface):
     base = base_metric(surface)
     x = np.array([0.0, 0.3, -0.2])
     y = np.array([0.0, 0.1, 0.4])
-    assert np.allclose(gaussian_curvature(base, x, y), -1.0, atol=0.0)
+    # K_g = -exp(-2u) (1 + L_sigma u)
+    curvature = -np.exp(-2.0 * base.u_at(x, y)) * (1.0 + base.field.laplacian(x, y))
+    assert np.allclose(curvature, -1.0, atol=0.0)
 
 
 def test_make_metric_rejects_area_mismatch(surface):

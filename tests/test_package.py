@@ -2,9 +2,34 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import conformal_lab
+from conformal_lab.spectral import SpectralResult
+
+TRACING = Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in conformal_lab.__all__ if not hasattr(conformal_lab, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark's tracer wraps exists, and the field
+    its eigensolve counter reads."""
+    spec = importlib.util.spec_from_file_location("pipebench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracing.TARGETS.items()
+        for name in names
+        if not callable(
+            getattr(importlib.import_module(f"conformal_lab.{module}"), name, None)
+        )
+    ]
+    assert missing == []
+    assert "backward_errors" in SpectralResult.__dataclass_fields__

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -147,6 +148,48 @@ def test_verify_rejects_unknown_config_key(surface, mesh3):
         verify_metric(base_metric(surface), mesh3, {"k": 2, "samples_per_edge": 4})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k", "x"), ("k", 2.5), ("k", True), ("k", 0),
+    ("curve_samples", "x"), ("curve_samples", 2.5), ("curve_samples", True),
+    ("curve_samples", 0), ("embed_timestamp", "no"), ("embed_timestamp", 1),
+])
+def test_verify_rejects_bad_config_value(surface, mesh3, key, value):
+    with pytest.raises(UsageError, match=repr(key)):
+        verify_metric(base_metric(surface), mesh3, {key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("samples_per_edge", "x"), ("samples_per_edge", 2.5),
+    ("samples_per_edge", True), ("samples_per_edge", 0),
+    ("curve_samples", "x"), ("curve_samples", 2.5), ("curve_samples", True),
+    ("curve_samples", 0),
+])
+def test_sweep_rejects_bad_config_value(surface, mesh3, key, value):
+    grid = [{"family": "nonpositive_radial", "amplitude": 0.5}]
+    with pytest.raises(UsageError, match=repr(key)):
+        sweep(surface, mesh3, grid, {key: value})
+
+
+def test_config_must_be_a_dict(surface, mesh3):
+    grid = [{"family": "nonpositive_radial", "amplitude": 0.5}]
+    with pytest.raises(UsageError, match="dict"):
+        sweep(surface, mesh3, grid, [("curve_samples", 9)])
+    with pytest.raises(UsageError, match="dict"):
+        verify_metric(base_metric(surface), mesh3, [("k", 2)])
+
+
+def test_sandwich_reads_the_spectrum_of_its_own_mesh(surface, mesh3):
+    """Same level as mesh3, half the areas: the base spectrum doubles."""
+    verify_metric(base_metric(surface), mesh3)  # mesh3's spectrum comes first
+    halved = dataclasses.replace(mesh3, tri_area_sigma=0.5 * mesh3.tri_area_sigma)
+    report = verify_metric(base_metric(surface), halved)
+    assert report.entry("eigen_sandwich_margin").status == "pass"
+    # the mesh area entries see the halved areas, as they should
+    assert {e.name for e in report.entries if e.failed} == {
+        "mesh_sigma_area", "gauss_bonnet_total_curvature",
+    }
+
+
 def test_verify_guards(surface, mesh3):
     with pytest.raises(UsageError):
         verify_metric(object(), mesh3)
@@ -262,18 +305,6 @@ def test_sweep_malformed_entry_records_row_error(surface, mesh3, entry, shown):
     assert row["error"].startswith("UsageError")
     assert row["area"] == ""
     assert {key: row[key] for key in shown} == shown
-
-
-def test_sweep_column_accessor(surface, mesh3):
-    grid = [
-        {"family": "nonpositive_radial", "amplitude": 0.25},
-        {"family": "nonpositive_radial", "amplitude": 1.0},
-    ]
-    table = sweep(surface, mesh3, grid=grid)
-    amps = table.column("amplitude")
-    assert amps == [0.25, 1.0]
-    with pytest.raises(UsageError):
-        table.column("bogus")
 
 
 def test_default_config_is_stable():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from conformal_lab.conformal import base_metric
 from conformal_lab.geom import diameter_estimate
 from conformal_lab.surface import (
     HyperbolicSurface,
-    SurfaceMesh,
+    base_spectrum,
     build_mesh,
     build_octagon_domain,
     generator_translation_lengths,
@@ -87,7 +88,12 @@ def test_refinement_quadruples_triangles(mesh3, mesh4):
 
 
 def test_every_interior_edge_has_two_triangles(mesh3):
-    counts = mesh3.edge_tri_counts()
+    # incident triangles per raw edge (glued pairs sum to 2)
+    idx = {tuple(e): 0 for e in mesh3.edges.tolist()}
+    for a, b, c in mesh3.tris.tolist():
+        for i, j in ((a, b), (b, c), (c, a)):
+            idx[(min(i, j), max(i, j))] += 1
+    counts = np.array([idx[tuple(e)] for e in mesh3.edges.tolist()])
     assert counts.min() >= 1
     # Boundary edges carry one triangle each raw-side; glued partners
     # supply the second. Interior edges carry two directly.
@@ -104,23 +110,36 @@ def test_rep_identifies_boundary_only(mesh3):
 
 
 def test_mesh_json_roundtrip(mesh2):
-    text = mesh2.to_json()
-    back = SurfaceMesh.from_json(text)
-    assert back.to_json() == text
-    assert back.n_rep == mesh2.n_rep
-    assert np.array_equal(back.tris, mesh2.tris)
-    assert np.allclose(back.xy, mesh2.xy, atol=0.0)
+    doc = json.loads(mesh2.to_json())
+    assert doc["level"] == mesh2.level
+    assert np.array_equal(doc["rep"], mesh2.rep)
+    assert np.array_equal(doc["tris"], mesh2.tris)
+    assert np.allclose(doc["vertices"], mesh2.xy, atol=0.0)
 
 
 def test_replace_starts_mesh_caches_empty(surface, mesh2):
-    cached = SurfaceMesh.from_json(mesh2.to_json())
+    cached = dataclasses.replace(mesh2)
+    assert cached._cache == {}
     spectral.dissection_order(cached)
-    spectral.sigma_vertex_mass(cached)
     diameter_estimate(base_metric(surface), cached)
-    caches = ("_stiffness", "_ordering", "_sigma_vertex_mass", "_diameter_graph")
-    assert all(getattr(cached, name) is not None for name in caches)
+    base_spectrum(surface, cached, 2)
+    assert set(cached._cache) == {
+        "stiffness", "dissection_order", "diameter_graph", "base_spectrum",
+    }
     copy = dataclasses.replace(cached, tris=cached.tris.copy())
-    assert all(getattr(copy, name) is None for name in caches)
+    assert copy._cache == {}
+
+
+def test_base_spectrum_belongs_to_its_mesh(surface, mesh3):
+    """A mesh of the same level with halved areas has its own spectrum."""
+    lam = base_spectrum(surface, mesh3, 4).eigenvalues
+    halved = dataclasses.replace(mesh3, tri_area_sigma=0.5 * mesh3.tri_area_sigma)
+    assert halved.level == mesh3.level
+    # halving every lumped mass doubles every eigenvalue
+    np.testing.assert_allclose(
+        base_spectrum(surface, halved, 4).eigenvalues[1:5], 2.0 * lam[1:5], rtol=1e-10
+    )
+    assert base_spectrum(surface, mesh3, 4).eigenvalues is lam
 
 
 def test_build_mesh_rejects_bad_level(surface):
