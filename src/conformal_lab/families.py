@@ -433,9 +433,13 @@ class SpikeField(conformal.ScalarField):
     def values(self, x, y):
         logC = math.log(self.C)
         u = logC
-        # spikes have disjoint supports: add up deviations from the background
+        # spikes have disjoint supports: add up deviations from the background;
+        # past eps rho is exactly C, so the deviation is exactly 0 there
         for r in self._radii(x, y):
-            u = u + (self.spike.u_values(r) - logC)
+            inside = r < self.eps
+            deviation = np.zeros_like(r)
+            deviation[inside] = self.spike.u_values(r[inside]) - logC
+            u = u + deviation
         return u
 
     def laplacian(self, x, y):

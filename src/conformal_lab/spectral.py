@@ -6,11 +6,20 @@ raw Euclidean disk coordinates) serves every metric on a mesh; it is
 cached on the mesh.  The metric enters only through the lumped mass
 matrix, whose vertex weights carry exp(2u).
 
-Generalized eigenvalues come from ARPACK shift-invert iteration around
--1e-3 at every mesh level; there is no dense cutoff, and a dense `eigh`
-runs only where ARPACK cannot (k + 1 >= n - 1).  The shift caps the
-operator at 1e3, which keeps the tiny eigenvalues of collapsed dumbbell
-necks resolved.  K + 1e-3 M has the same sparsity pattern for every
+The constants span the kernel of K on the connected surface, so the
+pair lambda_0 = 0 with the M-normalized constant is exact and is not
+computed.  The other k eigenvalues come from ARPACK shift-invert
+iteration around -1e-3 on the M-orthogonal complement of the constants
+(deflation, Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998):
+the solve's input drops its M 1 component and its output its constant
+component, so ARPACK is asked for k pairs, not k + 1.  On the complement
+the pencil is positive definite; computed values are clipped at 0 so that
+a collapsed neck's round-off cannot fall below the exact 0.  There is no
+dense cutoff; a dense `eigh` on the complement runs only where ARPACK
+cannot (k + 1 >= n - 1).  The shift caps the operator at 1e3, which
+keeps the tiny eigenvalues of collapsed dumbbell necks resolved.  The
+debug log names the path, the pairs requested, ncv and the number of
+shift-invert solves.  K + 1e-3 M has the same sparsity pattern for every
 metric, so its fill-reducing order is computed once per mesh: a
 geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
 the representatives' disk coordinates, cached on the mesh with K
@@ -187,12 +196,20 @@ def assemble(metric, mesh) -> SpectralSystem:
 
 @dataclass
 class SpectralResult:
-    eigenvalues: np.ndarray      # nondecreasing, length k+1
-    vectors: np.ndarray          # (dimension, k+1), M-orthonormal columns
+    eigenvalues: np.ndarray      # nondecreasing, length k+1; [0] is exactly 0.0
+    vectors: np.ndarray          # (dimension, k+1), M-orthonormal columns;
+                                 # [:, 0] is the constant 1 / sqrt(1'M1)
     residuals: np.ndarray        # ||K v - lambda M v||_{M^-1} / ||v||_M
     backward_errors: np.ndarray  # ||K v - lambda M v|| scaled by matrix norms
-    level: int
-    dimension: int
+    mesh: object                 # the mesh solved on
+
+    @property
+    def level(self) -> int:
+        return self.mesh.level
+
+    @property
+    def dimension(self) -> int:
+        return self.mesh.n_rep
 
     def to_csv(self) -> str:
         lines = ["k, lambda, residual, level"]
@@ -224,7 +241,12 @@ def _residuals(K, mass, vals, vecs):
 
 
 def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResult:
-    """Smallest k+1 generalized eigenvalues of (K, M)."""
+    """Smallest k+1 generalized eigenvalues of (K, M).
+
+    The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
+    The other k are solved on the M-orthogonal complement of the
+    constants and clipped at 0.
+    """
     n = system.dimension
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
@@ -232,29 +254,51 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
         raise DomainError(f"requested {k + 1} eigenvalues of a {n}-dim system")
     K = system.stiffness
     mass = system.mass
+    total_mass = float(mass.sum())
 
-    if k + 1 >= n - 1:
-        # ARPACK needs k + 1 < ncv <= n - 1
+    if k == 0:
+        vals = np.empty(0)
+        vecs = np.empty((n, 0))
+    elif k + 1 >= n - 1:
+        # ARPACK needs k < ncv <= n - 1 on the complement
         import scipy.linalg as la
 
         scale = 1.0 / np.sqrt(mass)
         A = (K.toarray() * scale[None, :]) * scale[:, None]
         A = 0.5 * (A + A.T)
-        vals, vecs_w = la.eigh(A)
-        vals = vals[: k + 1]
-        vecs = vecs_w[:, : k + 1] * scale[:, None]
+        # orthonormal basis of the complement of M^(1/2) 1, the constants
+        Q = la.null_space(np.sqrt(mass)[None, :])
+        vals, y = la.eigh(Q.T @ A @ Q)
+        vals = vals[:k]
+        vecs = (Q @ y[:, :k]) * scale[:, None]
+        log.debug("eigenvalues: path=dense pairs=%d", k)
     else:
-        ncv = min(n - 1, max(40, 4 * (k + 1)))
+        solve = _shift_invert(system)
+        mass_ones = mass / total_mass  # x -> mass_ones @ x is x's constant part
+        solves = 0
+
+        def deflated(b):
+            # scipy hands OPinv M x: strip its M 1 part, then the solution's
+            # constant part, so the iteration never leaves the complement
+            nonlocal solves
+            solves += 1
+            b = np.ravel(b)
+            x = solve.matvec(b - mass * (b.sum() / total_mass))
+            return x - mass_ones @ x
+
+        v0 = np.random.default_rng(0).standard_normal(n)
+        v0 -= mass_ones @ v0
+        ncv = min(n - 1, max(12, 4 * k))
         try:
             vals, vecs = spla.eigsh(
                 K,
-                k=k + 1,
+                k=k,
                 M=sp.diags(mass).tocsc(),
                 sigma=SHIFT,
                 which="LM",
                 mode="normal",
-                OPinv=_shift_invert(system),
-                v0=np.random.default_rng(0).standard_normal(n),
+                OPinv=spla.LinearOperator((n, n), matvec=deflated, dtype=float),
+                v0=v0,
                 ncv=ncv,
                 maxiter=maxiter,
                 tol=0,
@@ -267,15 +311,20 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
         order = np.argsort(vals)
         vals = vals[order]
         vecs = vecs[:, order]
+        log.debug(
+            "eigenvalues: path=arpack pairs=%d ncv=%d shift_invert_solves=%d",
+            k, ncv, solves,
+        )
 
+    vals = np.concatenate(([0.0], np.maximum(vals, 0.0)))
+    vecs = np.column_stack((np.full(n, 1.0 / math.sqrt(total_mass)), vecs))
     weighted, scaled = _residuals(K, mass, vals, vecs)
     return SpectralResult(
-        eigenvalues=np.asarray(vals, dtype=float),
+        eigenvalues=vals,
         vectors=vecs,
         residuals=weighted,
         backward_errors=scaled,
-        level=system.mesh.level,
-        dimension=n,
+        mesh=system.mesh,
     )
 
 
@@ -376,18 +425,20 @@ def conformal_eigen_sandwich(
     lambda_0 pinned to 0: K is positive semidefinite and M a positive
     diagonal, so every exact eigenvalue of the pencil is >= 0, and the
     constants span the kernel of K on the connected surface, so the exact
-    lambda_0 is 0.  A solver returns that zero as +-1e-14 depending on the
-    BLAS; scaling a negative value would put lower above upper, so the
-    bounds must not follow the round-off.  `base` keeps the computed values.
+    lambda_0 is 0.  `eigenvalues` returns it as exactly 0.0 and clips the
+    rest at 0, but a spectrum from elsewhere may carry +-1e-14 there;
+    scaling a negative value would put lower above upper, so the bounds
+    must not follow the round-off.  `base` keeps the given values.  Both
+    spectra must come from this very mesh object, not only its level.
     """
-    if base_result.level != mesh.level:
-        raise UsageError(
-            f"base spectrum from level {base_result.level}, mesh level {mesh.level}"
-        )
+    for name, result in (("base", base_result), ("deformed", deformed_result)):
+        if result is not None and result.mesh is not mesh:
+            raise UsageError(
+                f"{name} spectrum computed on another mesh (level "
+                f"{result.level}), not this level-{mesh.level} mesh"
+            )
     if deformed_result is None:
         deformed_result = eigenvalues(assemble(metric, mesh), k)
-    if deformed_result.level != base_result.level:
-        raise UsageError("spectra computed on different mesh levels")
     m = min(k + 1, len(base_result.eigenvalues), len(deformed_result.eigenvalues))
     base = base_result.eigenvalues[:m]
     lam = deformed_result.eigenvalues[:m]

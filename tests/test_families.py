@@ -202,6 +202,24 @@ def test_dumbbell_spikes_have_disjoint_supports(surface):
     assert disk_distance(p, q) > 2.0 * eps
 
 
+def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
+    metric = families.make(surface, "dumbbell", eps=0.2, delta=0.01)
+    field = metric.field
+    x, y = mesh3.xy[:, 0], mesh3.xy[:, 1]
+    logC = math.log(metric.C)
+    # every anchor's full spike, deviation 0 past eps only by arithmetic
+    expected = logC
+    for r in field._radii(x, y):
+        expected = expected + (field.spike.u_values(r) - logC)
+    seen = []
+    u_values = field.spike.u_values
+    field.spike.u_values = lambda r: seen.append(r) or u_values(r)
+    u = field.values(x, y)
+    assert np.array_equal(u, expected)
+    assert max(float(np.max(r)) for r in seen) < field.eps
+    assert sum(len(r) for r in seen) < 0.2 * len(x)
+
+
 def test_dumbbell_ramp_identity(surface):
     # The ramp is linear in the g-radial coordinate, so its Dirichlet
     # energy equals annulus area / delta_R^2 exactly (conformal invariance

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +93,20 @@ def test_shift_invert_factor_solves_shifted_system(surface, mesh4, params):
     assert np.linalg.norm(shifted @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _assert_exact_pair_zero(system, res):
+    """lambda_0 = 0.0 exactly with the M-normalized constant, and the other
+    columns M-orthogonal to it.  The orthogonality is measured against the
+    normalized constant: a level-3 dumbbell lumps masses up to 1e83, so
+    1'M v alone carries terms of 1e41."""
+    mass = system.mass
+    assert res.eigenvalues[0] == 0.0
+    v0 = res.vectors[:, 0]
+    assert np.all(v0 == v0[0])
+    assert float(v0 @ (mass * v0)) == pytest.approx(1.0, rel=1e-14)
+    assert np.max(np.abs((mass * v0) @ res.vectors[:, 1:])) <= 1e-12
+    assert np.all(np.diff(res.eigenvalues) >= 0.0)
+
+
 @pytest.mark.parametrize(
     "params",
     default_sweep_grid() + [COLLAPSED_DUMBBELL],
@@ -98,8 +114,32 @@ def test_shift_invert_factor_solves_shifted_system(surface, mesh4, params):
 )
 def test_eigenvalues_match_dense_oracle_level3(surface, mesh3, params):
     system = assemble(families.make(surface, **params), mesh3)
-    lam = eigenvalues(system, 10).eigenvalues
-    np.testing.assert_allclose(lam, _dense_oracle(system, 10), rtol=1e-10, atol=1e-10)
+    res = eigenvalues(system, 10)
+    _assert_exact_pair_zero(system, res)
+    np.testing.assert_allclose(
+        res.eigenvalues, _dense_oracle(system, 10), rtol=1e-10, atol=1e-10
+    )
+
+
+def test_k_zero_returns_only_the_exact_pair(surface, mesh3, caplog):
+    system = assemble(base_metric(surface), mesh3)
+    with caplog.at_level(logging.DEBUG, logger="conformal_lab.spectral"):
+        res = eigenvalues(system, 0)
+    assert res.eigenvalues.tolist() == [0.0]
+    assert res.vectors.shape == (mesh3.n_rep, 1)
+    assert "path=" not in caplog.text
+
+
+def test_deflated_solve_count_is_pinned(surface, mesh4, caplog):
+    # Without deflation ARPACK also hunts the constant pair: 41 solves here.
+    system = assemble(
+        families.make(surface, "dumbbell", eps=0.1, delta=0.01), mesh4
+    )
+    with caplog.at_level(logging.DEBUG, logger="conformal_lab.spectral"):
+        eigenvalues(system, 1)
+    (message,) = [r.getMessage() for r in caplog.records if "path=arpack" in r.getMessage()]
+    assert "pairs=1 ncv=12 " in message
+    assert int(re.search(r"shift_invert_solves=(\d+)", message).group(1)) <= 20
 
 
 def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
@@ -107,6 +147,7 @@ def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
     k = mesh2.n_rep - 2  # k + 1 >= n - 1 leaves ARPACK no room for ncv
     res = eigenvalues(system, k)
     assert len(res.eigenvalues) == k + 1
+    _assert_exact_pair_zero(system, res)
     np.testing.assert_allclose(
         res.eigenvalues, _dense_oracle(system, k), rtol=1e-10, atol=1e-10
     )
@@ -197,6 +238,20 @@ def test_sandwich_level_mismatch_rejected(surface, mesh3, mesh4):
     base_res = base_spectrum(surface, mesh3, 5)
     with pytest.raises(UsageError):
         conformal_eigen_sandwich(metric, mesh4, base_res, 5)
+
+
+def test_sandwich_rejects_spectra_of_another_mesh(surface, mesh3):
+    # same level as mesh3, half the areas: its spectrum is twice mesh3's
+    halved = dataclasses.replace(mesh3, tri_area_sigma=0.5 * mesh3.tri_area_sigma)
+    metric = base_metric(surface)
+    with pytest.raises(UsageError, match="base spectrum computed on another mesh"):
+        conformal_eigen_sandwich(metric, halved, base_spectrum(surface, mesh3, 10), 10)
+    deformed = eigenvalues(assemble(metric, mesh3), 10)
+    with pytest.raises(UsageError, match="deformed spectrum computed on another mesh"):
+        conformal_eigen_sandwich(
+            metric, halved, base_spectrum(surface, halved, 10), 10,
+            deformed_result=deformed,
+        )
 
 
 def test_dumbbell_bound_controls_lambda1(surface, mesh3):
