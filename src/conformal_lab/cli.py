@@ -14,6 +14,21 @@ from . import conformal, entropy, families, report, spectral
 from .errors import LabError, UsageError
 from .surface import HyperbolicSurface, build_mesh
 
+
+def _family_flags():
+    """Real-valued family parameter -> the families that take it, in the
+    order of the family table; each is one `metric make` flag."""
+    flags = {}
+    for name, spec in families.FAMILIES.items():
+        for param in (*spec.required, *spec.optional):
+            if param not in families.POINT_PARAMS:
+                flags.setdefault(param, []).append(name)
+    return flags
+
+
+FAMILY_FLAGS = _family_flags()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conformal-lab",
@@ -32,12 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     metric_sub = metric.add_subparsers(dest="metric_command", required=True)
     make = metric_sub.add_parser("make", help="build a family member")
     make.add_argument("--family", required=True, choices=families.FAMILY_NAMES)
-    make.add_argument("--eps", type=float, default=None)
-    make.add_argument("--delta", type=float, default=None)
-    make.add_argument("--amplitude", type=float, default=None)
-    make.add_argument("--a", type=float, default=None, help="cylinder scale")
-    make.add_argument("--neck", type=float, default=None, help="cylinder neck value")
-    make.add_argument("--match-radius", type=float, default=None)
+    for param, names in FAMILY_FLAGS.items():
+        make.add_argument(
+            "--" + param.replace("_", "-"), type=float, default=None,
+            help=f"parameter of {', '.join(names)}",
+        )
     make.add_argument("--out", default=None, help="write descriptor JSON here")
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a saved metric")
@@ -116,9 +130,7 @@ def _cmd_mesh_build(args) -> int:
 def _cmd_metric_make(args) -> int:
     surface = HyperbolicSurface()
     params = {
-        key: getattr(args, key)
-        for key in ("eps", "delta", "amplitude", "a", "neck", "match_radius")
-        if getattr(args, key) is not None
+        key: getattr(args, key) for key in FAMILY_FLAGS if getattr(args, key) is not None
     }
     metric = families.make(surface, args.family, **params)
     doc = conformal.to_descriptor(metric)
@@ -131,7 +143,8 @@ def _cmd_metric_make(args) -> int:
 
 def _load_metric(path, surface):
     try:
-        doc = conformal.load_descriptor(path)
+        with open(path) as fh:
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise UsageError(f"metric descriptor not found: {path}") from exc
     except json.JSONDecodeError as exc:

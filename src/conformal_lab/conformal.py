@@ -15,13 +15,13 @@ K_g = -exp(-2u) * (1 + L_sigma u), with L_sigma the Laplacian of the
 curvature -1 base metric.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NormalizationError, UsageError
+from .spectral import cotangent_stiffness
 from .surface import HyperbolicSurface
 
 
@@ -299,8 +299,6 @@ def gauss_bonnet(metric, mesh, method="chart") -> GaussBonnetResult:
     if method == "chart":
         lap_int = metric.field.laplacian_integral()
     elif method == "mesh":
-        from .spectral import cotangent_stiffness
-
         K = cotangent_stiffness(mesh)
         u = metric.u_raw(mesh)
         u_rep = np.zeros(mesh.n_rep)
@@ -331,11 +329,6 @@ def to_descriptor(metric) -> dict:
             max_u=metric.u_max,
         )
     return doc
-
-
-def load_descriptor(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def from_descriptor(doc, surface=None):

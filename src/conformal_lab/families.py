@@ -36,7 +36,7 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import conformal
 from .errors import ConstructionError, ParameterError, UsageError
-from .hyp import DiskPoint, MobiusTransform, _as_complex, disk_distance, pair_distances
+from .hyp import DiskPoint, _as_complex, disk_distance, distances_to, polar_points
 from .surface import HyperbolicSurface
 
 TWO_PI = 2.0 * math.pi
@@ -94,30 +94,6 @@ def _simpson_log(fn, lo, hi, n=2049):
     x = np.linspace(math.log(lo), math.log(hi), n)
     r = np.exp(x)
     return float(simpson(fn(r) * r, x=x))
-
-
-def _dist_to_point(x, y, px, py):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast(x, y).shape
-    xf = np.broadcast_to(x, shape).ravel()
-    yf = np.broadcast_to(y, shape).ravel()
-    d = pair_distances(
-        xf, yf, np.full(xf.shape, px), np.full(yf.shape, py)
-    )
-    return d.reshape(shape)
-
-
-def _ray_points(anchor, radii):
-    """Disk points at the given hyperbolic radii from the anchor.
-
-    Radial profiles have rotationally symmetric curvature, so one ray
-    samples every value the sign scan could see.
-    """
-    pts = MobiusTransform.origin_to(anchor).apply_many(
-        np.tanh(0.5 * np.asarray(radii, dtype=float)).astype(complex)
-    )
-    return pts.real, pts.imag
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +383,7 @@ def _spike_checks(surface, eps, delta, anchors):
         )
     r_in = surface.domain.in_radius
     for p in anchors:
-        d0 = 2.0 * math.atanh(abs(p))
-        if d0 + eps > r_in:
+        if disk_distance(0j, p) + eps > r_in:
             raise ParameterError(
                 f"eps-ball around {p} leaves the fundamental domain "
                 f"(needs distance-to-center + eps <= {r_in:.4f})"
@@ -427,25 +402,28 @@ class SpikeField(conformal.ScalarField):
         self.C = float(C)
         self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C)
 
-    def _radii(self, x, y):
-        return [_dist_to_point(x, y, a.real, a.imag) for a in self.anchors]
+    def _add_spikes(self, x, y, total, profile):
+        """total plus profile(r) inside each anchor's eps-ball, r the
+        sigma-distance to the anchor.
+
+        The spikes have disjoint supports, and past eps rho is exactly C,
+        so both the deviation of u from log C and the Laplacian are
+        exactly 0 there and profile is never evaluated.
+        """
+        for anchor in self.anchors:
+            r = distances_to(x, y, anchor)
+            inside = r < self.eps
+            term = np.zeros_like(r)
+            term[inside] = profile(r[inside])
+            total = total + term
+        return total
 
     def values(self, x, y):
         logC = math.log(self.C)
-        u = logC
-        # spikes have disjoint supports: add up deviations from the background;
-        # past eps rho is exactly C, so the deviation is exactly 0 there
-        for r in self._radii(x, y):
-            inside = r < self.eps
-            deviation = np.zeros_like(r)
-            deviation[inside] = self.spike.u_values(r[inside]) - logC
-            u = u + deviation
-        return u
+        return self._add_spikes(x, y, logC, lambda r: self.spike.u_values(r) - logC)
 
     def laplacian(self, x, y):
-        return functools.reduce(
-            np.add, (self.spike.laplacian(r) for r in self._radii(x, y))
-        )
+        return self._add_spikes(x, y, 0.0, self.spike.laplacian)
 
     def bounds(self):
         return self.spike.sampled_min_u(), self.spike.log_inner
@@ -461,12 +439,11 @@ class SpikeField(conformal.ScalarField):
         return len(self.anchors) * self.spike.ball_laplacian_integral()
 
     def sign_probe_points(self):
+        # the spike is radial, so one ray per anchor samples every value
+        # the sign scan could see
         radii = self.spike.probe_radii()
-        rays = [_ray_points(a, radii) for a in self.anchors]
-        return (
-            np.concatenate([x for x, _ in rays]),
-            np.concatenate([y for _, y in rays]),
-        )
+        rays = np.concatenate([polar_points(a, radii) for a in self.anchors])
+        return rays.real, rays.imag
 
 
 def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
@@ -559,26 +536,25 @@ class RadialSlopeField(conformal.ScalarField):
         self._table_r = r
         self._table_w = cumulative_trapezoid(slope, r, initial=0.0)
 
-    def _r(self, x, y):
-        return _dist_to_point(x, y, self.center.real, self.center.imag)
-
     def _w(self, r):
         return np.interp(np.asarray(r, dtype=float), self._table_r, self._table_w)
 
+    def _radial_laplacian(self, r):
+        """L_sigma u = u'' + coth(r) u' = -s - tanh(r/2) s' as a function
+        of the radial coordinate."""
+        r = np.asarray(r, dtype=float)
+        phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
+        return -self.amplitude * phi - np.tanh(0.5 * r) * self.amplitude * d1
+
     def values(self, x, y):
-        return self.C + self._w(self._r(x, y))
+        return self.C + self._w(distances_to(x, y, self.center))
 
     def laplacian(self, x, y):
-        r = self._r(x, y)
-        phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
-        s = self.amplitude * phi
-        return -s - np.tanh(0.5 * r) * self.amplitude * d1
+        return self._radial_laplacian(distances_to(x, y, self.center))
 
     def curvature_excess(self, r):
         """1 + L_sigma u as a function of the radial coordinate."""
-        r = np.asarray(r, dtype=float)
-        phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
-        return (1.0 - self.amplitude * phi) - np.tanh(0.5 * r) * self.amplitude * d1
+        return 1.0 + self._radial_laplacian(r)
 
     def bounds(self):
         return self.C + float(self._table_w[-1]), self.C
@@ -595,9 +571,7 @@ class RadialSlopeField(conformal.ScalarField):
 
     def laplacian_integral(self):
         r = self._table_r
-        phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
-        lap = -self.amplitude * phi - np.tanh(0.5 * r) * self.amplitude * d1
-        return float(simpson(lap * TWO_PI * np.sinh(r), x=r))
+        return float(simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), x=r))
 
 
 def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.ConformalMetric:
@@ -607,7 +581,7 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
         raise ParameterError(
             f"amplitude must lie in [0, 1] for the sign certificate, got {amplitude}"
         )
-    if 2.0 * math.atanh(abs(cz)) > RADIAL_CENTER_MAX:
+    if disk_distance(0j, cz) > RADIAL_CENTER_MAX:
         raise ParameterError(
             f"center must stay within sigma-distance {RADIAL_CENTER_MAX} of the "
             "origin so the support ball embeds"

@@ -22,13 +22,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RangeError, TopologyError, UsageError
-from .hyp import MobiusTransform, _as_complex, pair_distances
+from .hyp import _as_complex, disk_distance, pair_distances, polar_points
 from .surface import GLUE_TOL
 
 log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
+SAMPLES_PER_EDGE = 8  # default e^u samples per edge of the diameter graph
 
 
 @dataclass
@@ -203,7 +204,7 @@ def _diameter_graph(mesh) -> _DiameterGraph:
     return mesh._cache["diameter_graph"]
 
 
-def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
+def diameter_estimate(metric, mesh, samples_per_edge=SAMPLES_PER_EDGE) -> float:
     """Exact diameter of the g-weighted edge graph of the glued mesh.
 
     Edge weights are g-lengths from k-point sampling of e^u; glued copies
@@ -282,20 +283,11 @@ def diameter_estimate(metric, mesh, samples_per_edge=1) -> float:
     return float(diam)
 
 
-def _circle_points(center, R, n_theta):
+def _check_embedded(metric, center, R, label):
     cz = _as_complex(center)
-    theta = np.arange(n_theta) * (TWO_PI / n_theta)
-    ring = math.tanh(0.5 * R) * np.exp(1j * theta)
-    T = MobiusTransform.origin_to(cz)
-    return T.apply_many(ring)
-
-
-def _check_embedded(center, R, label):
-    cz = _as_complex(center)
-    in_radius = math.acosh(1.0 + math.sqrt(2.0))
     if R <= 0.0:
         raise RangeError(f"{label} radius must be positive, got {R}")
-    if 2.0 * math.atanh(abs(cz)) + R > in_radius:
+    if disk_distance(0j, cz) + R > metric.surface.domain.in_radius:
         raise RangeError(
             f"{label} of radius {R} around {cz} is not contained in the "
             "fundamental domain"
@@ -304,8 +296,8 @@ def _check_embedded(center, R, label):
 
 def circle_integral_u(metric, center, R, n_theta=1024) -> float:
     """Integral of u over the sigma-circle of radius R (against dl_sigma)."""
-    _check_embedded(center, R, "circle")
-    pts = _circle_points(center, R, n_theta)
+    _check_embedded(metric, center, R, "circle")
+    pts = polar_points(center, R, np.arange(n_theta) * (TWO_PI / n_theta))
     u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
     return math.sinh(R) * float(np.mean(u)) * TWO_PI
 
@@ -322,19 +314,15 @@ def region_integral_u(metric, center, R, grid=(1024, 1024)):
     applies when u attains a maximum >= 0 at the center and the metric is
     nonpositively curved.
     """
-    _check_embedded(center, R, "ball")
+    _check_embedded(metric, center, R, "ball")
     n_r, n_t = grid
-    cz = _as_complex(center)
     r = np.linspace(0.0, R, n_r)
     theta = np.arange(n_t) * (TWO_PI / n_t)
-    circle = np.exp(1j * theta)
-    T = MobiusTransform.origin_to(cz)
     # each ring's mean is its own row reduction, so blocks of rings give
     # the same bits as the whole grid in bounded memory
     ring_means = np.empty(n_r)
     for lo in range(0, n_r, RING_BLOCK):
-        ring = np.tanh(0.5 * r[lo:lo + RING_BLOCK])[:, None] * circle[None, :]
-        pts = T.apply_many(ring.ravel()).reshape(ring.shape)
+        pts = polar_points(center, r[lo:lo + RING_BLOCK, None], theta)
         u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
         ring_means[lo:lo + RING_BLOCK] = np.mean(u, axis=1)
     ring_means *= TWO_PI
@@ -352,15 +340,11 @@ def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
     differences for the derivatives, trapezoid/periodic-rectangle rules
     for the integrals, so the residual decays at second order.
     """
-    _check_embedded(center, rho, "ball")
+    _check_embedded(metric, center, rho, "ball")
     n_r, n_t = grid
     h = rho / n_r
     r_ext = np.linspace(0.0, rho + h, n_r + 2)
-    theta = np.arange(n_t) * (TWO_PI / n_t)
-    cz = _as_complex(center)
-    ring = np.tanh(0.5 * r_ext)[:, None] * np.exp(1j * theta)[None, :]
-    T = MobiusTransform.origin_to(cz)
-    pts = T.apply_many(ring.ravel()).reshape(ring.shape)
+    pts = polar_points(center, r_ext[:, None], np.arange(n_t) * (TWO_PI / n_t))
     U = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
 
     u_r = (U[2:] - U[:-2]) / (2.0 * h)

@@ -1,5 +1,7 @@
 """Poincare disk primitives: points, distances, Mobius maps, and the batch
-distance and triangle-area kernels that every mesh quantity goes through.
+kernels that every mesh and point-anchored quantity goes through: pair
+distances, distances to one anchor, points in polar coordinates around an
+anchor, and triangle areas.
 
 Conventions. The disk carries the metric (2 / (1 - |z|^2))^2 |dz|^2, which
 has constant Gaussian curvature -1.  Distances are d(a, b) =
@@ -150,16 +152,8 @@ class MobiusTransform:
         return 2.0 * math.acosh(0.5 * t)
 
 
-def pair_distances(ax, ay, bx, by):
-    """Hyperbolic distances between point arrays in the unit disk.
-
-    Uses d = 2 artanh |a - b| / |1 - conj(a) b| on disk coordinates,
-    the curvature -1 normalization.
-    """
-    ax = np.ascontiguousarray(ax, dtype=np.float64)
-    ay = np.ascontiguousarray(ay, dtype=np.float64)
-    bx = np.ascontiguousarray(bx, dtype=np.float64)
-    by = np.ascontiguousarray(by, dtype=np.float64)
+def _distances(ax, ay, bx, by):
+    # d = 2 artanh |a - b| / |1 - conj(a) b|, written out in coordinates
     dx = bx - ax
     dy = by - ay
     num = dx * dx + dy * dy
@@ -168,6 +162,46 @@ def pair_distances(ax, ay, bx, by):
     den = re * re + im * im
     t = np.sqrt(num / den)
     return 2.0 * np.arctanh(t)
+
+
+def pair_distances(ax, ay, bx, by):
+    """Hyperbolic distances between point arrays in the unit disk.
+
+    Uses d = 2 artanh |a - b| / |1 - conj(a) b| on disk coordinates,
+    the curvature -1 normalization.
+    """
+    return _distances(
+        np.ascontiguousarray(ax, dtype=np.float64),
+        np.ascontiguousarray(ay, dtype=np.float64),
+        np.ascontiguousarray(bx, dtype=np.float64),
+        np.ascontiguousarray(by, dtype=np.float64),
+    )
+
+
+def distances_to(x, y, anchor):
+    """Hyperbolic distances from disk points (x, y) to one anchor point.
+
+    The same arithmetic as pair_distances with the anchor as the second
+    point, so the values agree bit for bit; the shape is that of x and y
+    broadcast together.
+    """
+    b = _as_complex(anchor)
+    return np.asarray(_distances(
+        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+        b.real, b.imag,
+    ))
+
+
+def polar_points(center, r, theta=None):
+    """Disk points at hyperbolic radius r and angle theta around center.
+
+    The translation taking 0 to center applied to tanh(r/2) e^{i theta};
+    r and theta broadcast together, and theta None is the ray at angle 0.
+    """
+    ring = np.tanh(0.5 * np.asarray(r, dtype=np.float64))
+    if theta is not None:
+        ring = ring * np.exp(1j * np.asarray(theta, dtype=np.float64))
+    return MobiusTransform.origin_to(center).apply_many(ring)
 
 
 def _corner_angles(za, zb, zc):

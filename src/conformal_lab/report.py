@@ -26,7 +26,7 @@ import numpy as np
 
 from . import conformal, entropy, families, geom, spectral
 from .errors import LabError, UsageError
-from .surface import base_spectrum
+from .surface import CURVE_SAMPLES, base_spectrum
 
 __all__ = [
     "CheckEntry",
@@ -43,8 +43,8 @@ __all__ = [
 #: default a bool
 DEFAULT_CONFIG = {
     "k": 10,                  # sandwich depth
-    "samples_per_edge": 8,    # diameter estimator resolution
-    "curve_samples": 2049,    # systole sampling for length checks
+    "samples_per_edge": geom.SAMPLES_PER_EDGE,  # diameter estimator resolution
+    "curve_samples": CURVE_SAMPLES,  # systole sampling for length checks
     "embed_timestamp": False,
 }
 

@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     UsageError,
 )
-from .hyp import pair_distances
+from .hyp import distances_to
 
 log = logging.getLogger(__name__)
 
@@ -157,7 +157,6 @@ class SpectralSystem:
     mass: np.ndarray          # diagonal entries
     dimension: int
     mesh: object
-    metric: object
 
 
 def assemble(metric, mesh) -> SpectralSystem:
@@ -189,9 +188,7 @@ def assemble(metric, mesh) -> SpectralSystem:
             f"mass lumping produced a nonpositive or nonfinite entry "
             f"(min {mass.min():.3e}); the conformal factor overflows this mesh"
         )
-    return SpectralSystem(
-        stiffness=K, mass=mass, dimension=mesh.n_rep, mesh=mesh, metric=metric
-    )
+    return SpectralSystem(stiffness=K, mass=mass, dimension=mesh.n_rep, mesh=mesh)
 
 
 @dataclass
@@ -369,8 +366,7 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
     system = assemble(metric, mesh)
     fs = []
     for anchor in field.anchors:
-        r = _distances_to(mesh, anchor)
-        f_raw = spike.ramp_values(r)
+        f_raw = spike.ramp_values(distances_to(mesh.xy[:, 0], mesh.xy[:, 1], anchor))
         f = np.zeros(mesh.n_rep)
         f[mesh.rep] = f_raw
         fs.append(f)
@@ -387,13 +383,6 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
         delta_R=dR,
         ramp_energy_pair=2.0 * spike.ramp_energy(),
     )
-
-
-def _distances_to(mesh, anchor):
-    n = mesh.n_raw
-    ax = np.full(n, anchor.real)
-    ay = np.full(n, anchor.imag)
-    return pair_distances(mesh.xy[:, 0], mesh.xy[:, 1], ax, ay)
 
 
 @dataclass(frozen=True)

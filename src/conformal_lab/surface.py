@@ -33,6 +33,7 @@ from .hyp import (
 )
 
 GLUE_TOL = 1e-9  # spatial tolerance for matching pairing images to vertices
+CURVE_SAMPLES = 2049  # default samples of the systole curve
 
 
 class SidePairing(NamedTuple):
@@ -54,10 +55,6 @@ class FundamentalDomain:
     area: float
     circumradius: float
     in_radius: float
-
-    def side(self, i):
-        """Endpoints (start, end) of side i, counterclockwise."""
-        return self.vertices[i % 8], self.vertices[(i + 1) % 8]
 
 
 def build_octagon_domain() -> FundamentalDomain:
@@ -300,7 +297,7 @@ class SystoleGeodesic:
     half_range: float
     chart: object  # geom.CylinderChart
 
-    def curve(self, n: int = 2049):
+    def curve(self, n: int = CURVE_SAMPLES):
         """Sampled copy of the geodesic, endpoints identified copies."""
         from .geom import Curve
 

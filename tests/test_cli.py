@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from conformal_lab import cli, errors, geom
+from conformal_lab import cli, errors, families, geom
 from conformal_lab.cli import main
 from conformal_lab.conformal import base_metric
 
@@ -85,6 +86,29 @@ def test_metric_make_rejects_flag_family_does_not_take(capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert "'shrinker'" in err and "'amplitude'" in err
+
+
+def _subparser(parser, name):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+def test_metric_make_has_one_flag_per_real_family_parameter():
+    make = _subparser(_subparser(cli.build_parser(), "metric"), "make")
+    real_params = {
+        name
+        for spec in families.FAMILIES.values()
+        for name in (*spec.required, *spec.optional)
+        if name not in families.POINT_PARAMS
+    }
+    for name in real_params:
+        flags = [a.option_strings for a in make._actions if a.dest == name]
+        assert flags == [["--" + name.replace("_", "-")]]
+    flags = {s for a in make._actions for s in a.option_strings}
+    assert flags == {
+        "-h", "--help", "--family", "--out", "--eps", "--delta",
+        "--amplitude", "--a", "--neck", "--match-radius",
+    }
 
 
 def test_metric_make_infeasible_exit_two(capsys):

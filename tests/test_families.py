@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from conformal_lab.families import (
     systole_shrinker,
 )
 from conformal_lab.geom import curve_length
-from conformal_lab.hyp import disk_distance
+from conformal_lab.hyp import disk_distance, distances_to
 
 SYSTOLE = 3.0571418389619947
 
@@ -202,22 +203,40 @@ def test_dumbbell_spikes_have_disjoint_supports(surface):
     assert disk_distance(p, q) > 2.0 * eps
 
 
+def _recording(fn, seen):
+    return lambda r: seen.append(r) or fn(r)
+
+
 def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
-    metric = families.make(surface, "dumbbell", eps=0.2, delta=0.01)
-    field = metric.field
-    x, y = mesh3.xy[:, 0], mesh3.xy[:, 1]
-    logC = math.log(metric.C)
-    # every anchor's full spike, deviation 0 past eps only by arithmetic
-    expected = logC
-    for r in field._radii(x, y):
-        expected = expected + (field.spike.u_values(r) - logC)
-    seen = []
-    u_values = field.spike.u_values
-    field.spike.u_values = lambda r: seen.append(r) or u_values(r)
-    u = field.values(x, y)
-    assert np.array_equal(u, expected)
-    assert max(float(np.max(r)) for r in seen) < field.eps
-    assert sum(len(r) for r in seen) < 0.2 * len(x)
+    x = np.concatenate([mesh3.xy[:, 0], np.mean(mesh3.xy[mesh3.tris, 0], axis=1)])
+    y = np.concatenate([mesh3.xy[:, 1], np.mean(mesh3.xy[mesh3.tris, 1], axis=1)])
+    for family, params in (
+        ("dumbbell", {"eps": 0.2, "delta": 0.01}),
+        ("stretcher", {"eps": 0.2, "delta": 0.1, "p": [0.2, 0.1]}),
+    ):
+        field = families.make(surface, family, **params).field
+        radii = [distances_to(x, y, a) for a in field.anchors]
+        logC = math.log(field.C)
+        # every anchor's full spike, deviation 0 past eps only by arithmetic
+        expected_u = logC
+        for r in radii:
+            expected_u = expected_u + (field.spike.u_values(r) - logC)
+        expected_lap = functools.reduce(np.add, [field.spike.laplacian(r) for r in radii])
+        seen_u, seen_lap = [], []
+        field.spike.u_values = _recording(field.spike.u_values, seen_u)
+        field.spike.laplacian = _recording(field.spike.laplacian, seen_lap)
+        u = field.values(x, y)
+        lap = field.laplacian(x, y)
+        assert np.array_equal(u, expected_u)
+        assert np.array_equal(lap, expected_lap)
+        assert np.array_equal(np.signbit(lap), np.signbit(expected_lap))
+        outside = np.all([r >= field.eps for r in radii], axis=0)
+        assert outside.any()
+        assert np.all(lap[outside] == 0.0) and not np.any(np.signbit(lap[outside]))
+        for seen in (seen_u, seen_lap):
+            assert len(seen) == len(field.anchors)
+            assert max(float(np.max(r)) for r in seen) < field.eps
+            assert sum(len(r) for r in seen) < 0.2 * len(x)
 
 
 def test_dumbbell_ramp_identity(surface):

@@ -214,6 +214,13 @@ def test_base_diameter_estimate_range(surface, mesh3):
     assert diam == pytest.approx(2.4578568369338623, rel=1e-12)
 
 
+def test_diameter_default_sampling_is_the_sweeps(surface, mesh3):
+    params = {"family": "stretcher", "eps": 0.2, "delta": 0.1}
+    (row,) = report.sweep(surface, mesh3, [params]).rows
+    metric = families.make(surface, **params)
+    assert diameter_estimate(metric, mesh3) == row["diameter"]
+
+
 def test_stretcher_grows_diameter(surface, mesh3):
     wide = families.make(surface, "stretcher", eps=0.2, delta=0.4)
     thin = families.make(surface, "stretcher", eps=0.2, delta=0.2)

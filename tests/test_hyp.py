@@ -13,8 +13,10 @@ from conformal_lab.hyp import (
     DiskPoint,
     MobiusTransform,
     disk_distance,
+    distances_to,
     hyperbolic_midpoint,
     pair_distances,
+    polar_points,
     tri_areas,
 )
 
@@ -107,6 +109,38 @@ def test_pair_distances_match_scalar_reference():
     for i in range(0, 64, 7):
         ref = disk_distance(complex(ax[i], ay[i]), complex(bx[i], by[i]))
         assert out[i] == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("anchor", [0j, 0.2 + 0.1j, -0.35 + 0.5j, 0.999 - 0.001j])
+def test_distances_to_is_pair_distances_with_the_anchor_broadcast(anchor):
+    x, y = _random_cloud(4096, seed=3)
+    out = distances_to(x, y, anchor)
+    ref = pair_distances(x, y, np.full(x.shape, anchor.real), np.full(y.shape, anchor.imag))
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_distances_to_keeps_the_broadcast_shape():
+    x, y = _random_cloud(12, seed=4)
+    assert distances_to(x.reshape(3, 4), y.reshape(3, 4), 0.1j).shape == (3, 4)
+    xs, ys = np.linspace(-0.5, 0.5, 3), np.linspace(-0.5, 0.5, 4)
+    assert distances_to(xs[:, None], ys[None, :], 0.1j).shape == (3, 4)
+    assert distances_to(0.5, 0.0, 0j) == pytest.approx(2.0 * math.atanh(0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("center", [0j, 0.2 + 0.1j, -0.6j])
+def test_polar_points_match_the_explicit_mobius_construction(center):
+    r = np.linspace(0.0, 1.5, 7)
+    theta = np.arange(16) * (2.0 * math.pi / 16)
+    pts = polar_points(center, r[:, None], theta)
+    ring = np.tanh(0.5 * r)[:, None] * np.exp(1j * theta)[None, :]
+    ref = MobiusTransform.origin_to(center).apply_many(ring.ravel()).reshape(ring.shape)
+    assert np.array_equal(pts, ref)
+    # one ray at angle 0 when theta is omitted
+    assert np.array_equal(polar_points(center, r), ref[:, 0])
+    # and each point lies at sigma-distance r from the center
+    d = distances_to(pts.real, pts.imag, center)
+    assert np.allclose(d, np.broadcast_to(r[:, None], d.shape), rtol=1e-12, atol=1e-12)
 
 
 def test_tri_area_of_ideal_limit_is_below_pi():

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import conformal_lab
 from conformal_lab.spectral import SpectralResult
 
-TRACING = Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "pipebench" / "tracing.py"
 
 
 def test_every_exported_name_resolves():
@@ -33,3 +35,10 @@ def test_benchmark_tracer_targets_resolve():
     ]
     assert missing == []
     assert "backward_errors" in SpectralResult.__dataclass_fields__
+
+
+def test_declared_numpy_floor_has_trapezoid():
+    """geom integrates with np.trapezoid, which NumPy has from 2.0 on."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'"numpy>=([0-9.]+)"', pyproject)
+    assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
