@@ -20,7 +20,6 @@ from .entropy import (
 from .families import FAMILY_NAMES, make
 from .geom import (
     Curve,
-    CylinderChart,
     curve_length,
     diameter_estimate,
     jensen_lower_bound,
@@ -41,7 +40,6 @@ __all__ = [
     "BoundsReport",
     "ConformalMetric",
     "Curve",
-    "CylinderChart",
     "EntropyBounds",
     "FAMILY_NAMES",
     "HyperbolicSurface",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, UsageError
+from .errors import DomainError, NormalizationError, RangeError, UsageError
 from .spectral import cotangent_stiffness
 from .surface import HyperbolicSurface
 
@@ -110,11 +110,15 @@ class ConformalMetric:
     u_max: float
 
     def u_at(self, x, y):
+        """u at disk points; RangeError unless every x^2 + y^2 < 1."""
+        xx, yy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not np.all(xx * xx + yy * yy < 1.0):
+            raise RangeError("u evaluated at a point outside the open unit disk")
         return self.field.values(x, y)
 
     def factor_at(self, x, y):
         """Conformal factor exp(2u)."""
-        return np.exp(2.0 * self.field.values(x, y))
+        return np.exp(2.0 * self.u_at(x, y))
 
     def u_raw(self, mesh):
         """u sampled at the raw mesh vertices."""

@@ -36,7 +36,14 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import conformal
 from .errors import ConstructionError, ParameterError, UsageError
-from .hyp import DiskPoint, _as_complex, disk_distance, distances_to, polar_points
+from .hyp import (
+    DiskPoint,
+    _as_complex,
+    axis_distances,
+    disk_distance,
+    distances_to,
+    polar_points,
+)
 from .surface import HyperbolicSurface
 
 TWO_PI = 2.0 * math.pi
@@ -126,11 +133,6 @@ class ShrinkerField(conformal.ScalarField):
         self.C = float(C)
         self.depth = math.log(self.sys / self.eps)  # u on the geodesic is -depth
 
-    def _r_abs(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.abs(np.arcsinh(2.0 * y / (1.0 - x * x - y * y)))
-
     def _profile_jet(self, r_abs):
         phi, d1, d2 = bump_jet(r_abs, self.delta)
         amp = self.depth + self.C
@@ -141,11 +143,11 @@ class ShrinkerField(conformal.ScalarField):
         )
 
     def values(self, x, y):
-        v, _, _ = self._profile_jet(self._r_abs(x, y))
+        v, _, _ = self._profile_jet(np.abs(axis_distances(x, y)))
         return v
 
     def laplacian(self, x, y):
-        r = self._r_abs(x, y)
+        r = np.abs(axis_distances(x, y))
         _, g1, g2 = self._profile_jet(r)
         return g2 + np.tanh(r) * g1
 
@@ -170,17 +172,17 @@ class ShrinkerField(conformal.ScalarField):
         return np.zeros_like(r), np.tanh(0.5 * r)
 
 
-def systole_shrinker(surface, gamma, eps, delta, C=None) -> conformal.ConformalMetric:
+def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
     """Metric that shrinks the systole geodesic to g-length eps."""
-    sys_length = gamma.length
+    sys_length = surface.systole
     if not 0.0 < eps <= sys_length:
         raise ParameterError(
             f"shrinker needs 0 < eps <= systole {sys_length:.6f}, got {eps}"
         )
-    if delta <= 0.0 or delta > gamma.chart.half_width:
+    if delta <= 0.0 or delta > surface.collar_half_width:
         raise ParameterError(
             f"collar half-width {delta} outside the embedded range "
-            f"(0, {gamma.chart.half_width}]"
+            f"(0, {surface.collar_half_width}]"
         )
     collar_area = 2.0 * sys_length * math.sinh(delta)
     if collar_area > 0.5 * surface.total_area:
@@ -755,13 +757,7 @@ def _cylinder(surface, a, neck, match_radius):
 
 FAMILIES = {
     "base": Family(conformal.base_metric, (), {}, stores_C=False),
-    "shrinker": Family(
-        lambda surface, eps, delta, C=None: systole_shrinker(
-            surface, surface.systole_geodesic(), eps, delta, C
-        ),
-        ("eps", "delta"),
-        {},
-    ),
+    "shrinker": Family(systole_shrinker, ("eps", "delta"), {}),
     "stretcher": Family(diameter_stretcher, ("eps", "delta"), {"p": 0j}),
     "dumbbell": Family(dumbbell, ("eps", "delta"), {"p": None, "q": None}),
     "nonpositive_radial": Family(

@@ -8,9 +8,10 @@ also bounds the eccentricities from its images under the octagon
 symmetries that the metric's edge weights keep.  The Green residuals are
 checked by the acceptance tests only, not by verify reports.
 
-Collar computations use the normal-coordinate chart of the systole
-geodesic: r is the signed distance from the axis, s the position along
-it, with base metric dr^2 + cosh(r)^2 ds^2 and area element cosh(r).
+Collar computations read the systole's Fermi chart from hyp:
+fermi_points(r, s) is the point at signed distance r from the real-axis
+geodesic and arclength s along it, axis_distances gives r back, and the
+base metric there is dr^2 + cosh(r)^2 ds^2 with area element cosh(r).
 """
 
 import cmath
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, RangeError, TopologyError, UsageError
-from .hyp import _as_complex, disk_distance, pair_distances, polar_points
+from .hyp import _as_complex, disk_distance, fermi_points, pair_distances, polar_points
 from .surface import GLUE_TOL
 
 log = logging.getLogger(__name__)
@@ -30,6 +31,7 @@ log = logging.getLogger(__name__)
 TWO_PI = 2.0 * math.pi
 RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
 SAMPLES_PER_EDGE = 8  # default e^u samples per edge of the diameter graph
+CURVE_SAMPLES = 2049  # default samples of the systole curve
 
 
 @dataclass
@@ -44,34 +46,12 @@ class Curve:
             raise DomainError("a curve needs at least two samples")
 
 
-@dataclass(frozen=True)
-class CylinderChart:
-    """Normal coordinates around a closed geodesic of length core_length.
-
-    Valid as an embedded collar for |r| <= half_width; the coordinate
-    formulas extend to the whole disk and are periodic in s with period
-    core_length under the gluing along the geodesic.
-    """
-
-    core_length: float
-    half_width: float
-    grid: tuple = (512, 512)
-
-    def __post_init__(self):
-        if self.core_length <= 0.0:
-            raise DomainError(f"core length must be positive, got {self.core_length}")
-        if self.half_width <= 0.0:
-            raise DomainError(f"half width must be positive, got {self.half_width}")
-        if min(self.grid) < 8:
-            raise DomainError(f"grid {self.grid} too coarse")
-
-    def to_disk_z(self, r, s):
-        """Disk point at signed distance r from the axis, arclength s along it."""
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        w = 1j * np.tanh(0.5 * r)
-        t = np.tanh(0.5 * s)
-        return (w + t) / (1.0 + t * w)
+def systole_curve(surface, n=CURVE_SAMPLES) -> Curve:
+    """n samples of the systole geodesic along the real axis, one period
+    from side midpoint to side midpoint (the endpoints are glued copies)."""
+    half_range = surface.domain.in_radius
+    x = np.tanh(0.5 * np.linspace(-half_range, half_range, n))
+    return Curve(samples=np.column_stack([x, np.zeros_like(x)]))
 
 
 def _check_in_disk(samples):
@@ -366,26 +346,28 @@ def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
     return abs(lhs - flux)
 
 
-def collar_green_residual(metric, chart: CylinderChart, eps, rho, grid=None) -> float:
-    """Green identity residual on the half-collar r in [-rho, -eps].
+def collar_green_residual(metric, eps, rho, grid=(512, 512)) -> float:
+    """Green identity residual on the half-collar r in [-rho, -eps] of the
+    systole of metric.surface.
 
     Compares the area integral of lap u against the flux difference
     cosh(eps) F'(-eps) - cosh(rho) F'(-rho), F(r) the sidewise integral
     of u, with all derivatives by grid-tied central differences.
     """
+    surface = metric.surface
     if not 0.0 < eps < rho:
         raise RangeError(f"need 0 < eps < rho, got eps={eps}, rho={rho}")
-    if rho >= chart.half_width:
+    if rho >= surface.collar_half_width:
         raise RangeError(
             f"rho = {rho} reaches beyond the embedded collar width "
-            f"{chart.half_width}"
+            f"{surface.collar_half_width}"
         )
-    n_r, n_s = grid if grid is not None else chart.grid
+    n_r, n_s = grid
     h = (rho - eps) / (n_r - 1)
     r_ext = np.linspace(-rho - h, -eps + h, n_r + 2)
-    period = chart.core_length
+    period = surface.systole
     s = np.arange(n_s) * (period / n_s)
-    pts = chart.to_disk_z(r_ext[:, None], s[None, :])
+    pts = fermi_points(r_ext[:, None], s[None, :])
     U = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
 
     u_r = (U[2:] - U[:-2]) / (2.0 * h)

@@ -1,7 +1,8 @@
 """Poincare disk primitives: points, distances, Mobius maps, and the batch
-kernels that every mesh and point-anchored quantity goes through: pair
-distances, distances to one anchor, points in polar coordinates around an
-anchor, and triangle areas.
+kernels that every mesh, point-anchored and collar quantity goes through:
+pair distances, distances to one anchor, points in polar coordinates
+around an anchor, signed distances to the real-axis geodesic, points in
+Fermi coordinates along it, and triangle areas.
 
 Conventions. The disk carries the metric (2 / (1 - |z|^2))^2 |dz|^2, which
 has constant Gaussian curvature -1.  Distances are d(a, b) =
@@ -202,6 +203,29 @@ def polar_points(center, r, theta=None):
     if theta is not None:
         ring = ring * np.exp(1j * np.asarray(theta, dtype=np.float64))
     return MobiusTransform.origin_to(center).apply_many(ring)
+
+
+def axis_distances(x, y):
+    """Signed hyperbolic distances from disk points (x, y) to the real axis.
+
+    arcsinh(2y / (1 - x^2 - y^2)): positive in the upper half disk, and
+    the r coordinate of fermi_points.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return np.arcsinh(2.0 * y / (1.0 - x * x - y * y))
+
+
+def fermi_points(r, s):
+    """Disk points in Fermi coordinates along the real-axis geodesic.
+
+    The point at signed distance r from the axis whose foot lies at
+    arclength s from the origin; r and s broadcast together, and the base
+    metric reads dr^2 + cosh(r)^2 ds^2.
+    """
+    w = 1j * np.tanh(0.5 * np.asarray(r, dtype=np.float64))
+    t = np.tanh(0.5 * np.asarray(s, dtype=np.float64))
+    return (w + t) / (1.0 + t * w)
 
 
 def _corner_angles(za, zb, zc):

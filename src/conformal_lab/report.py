@@ -26,7 +26,7 @@ import numpy as np
 
 from . import conformal, entropy, families, geom, spectral
 from .errors import LabError, UsageError
-from .surface import CURVE_SAMPLES, base_spectrum
+from .surface import base_spectrum
 
 __all__ = [
     "CheckEntry",
@@ -44,7 +44,7 @@ __all__ = [
 DEFAULT_CONFIG = {
     "k": 10,                  # sandwich depth
     "samples_per_edge": geom.SAMPLES_PER_EDGE,  # diameter estimator resolution
-    "curve_samples": CURVE_SAMPLES,  # systole sampling for length checks
+    "curve_samples": geom.CURVE_SAMPLES,  # systole sampling for length checks
     "embed_timestamp": False,
 }
 
@@ -345,8 +345,7 @@ def _conformal_entries(metric, mesh, cfg):
         detail=f"k={k}, violations={sandwich.violations}",
     ))
 
-    gamma = surface.systole_geodesic()
-    curve = gamma.curve(cfg["curve_samples"])
+    curve = geom.systole_curve(surface, cfg["curve_samples"])
     length_g, jensen = geom.jensen_lower_bound(metric, curve)
     entries.append(_check(
         "systole_jensen_consistency", length_g, jensen, ">=",
@@ -485,7 +484,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
         raise UsageError("sweep grid must be a list of JSON objects")
     if not grid:
         raise UsageError("sweep grid is empty")
-    gamma_curve = surface.systole_geodesic().curve(cfg["curve_samples"])
+    gamma_curve = geom.systole_curve(surface, cfg["curve_samples"])
     rows = []
     for spec_params in grid:
         params = dict(spec_params)

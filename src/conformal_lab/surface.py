@@ -33,7 +33,7 @@ from .hyp import (
 )
 
 GLUE_TOL = 1e-9  # spatial tolerance for matching pairing images to vertices
-CURVE_SAMPLES = 2049  # default samples of the systole curve
+TRI_SIDES = [0, 1, 1, 2, 2, 0]  # corner pairs of the sides ab, bc, ca of (a, b, c)
 
 
 class SidePairing(NamedTuple):
@@ -155,81 +155,51 @@ class SurfaceMesh:
         return json.dumps(doc)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
-    """Fan-and-subdivide triangulation of the octagon, glued along pairings."""
-    if not (0 <= level <= 8):
-        raise DomainError(f"refinement level must be in [0, 8], got {level}")
+    """Fan-and-subdivide triangulation of the octagon, glued along pairings.
 
-    verts = [0j] + [p.z for p in domain.vertices]
-    tris = [(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)]
-    boundary_side = {frozenset((1 + k, 1 + (k + 1) % 8)): k for k in range(8)}
-
-    for _ in range(level):
-        mid_index = {}
-        new_boundary = {}
-
-        def midpoint(i, j):
-            key = frozenset((i, j))
-            found = mid_index.get(key)
-            if found is not None:
-                return found
-            side = boundary_side.get(key)
-            if side is None:
-                z = 0.5 * (verts[i] + verts[j])
-            else:
-                z = hyperbolic_midpoint(verts[i], verts[j])
-            verts.append(z)
-            idx = len(verts) - 1
-            mid_index[key] = idx
-            if side is not None:
-                new_boundary[frozenset((i, idx))] = side
-                new_boundary[frozenset((idx, j))] = side
-            return idx
-
-        next_tris = []
-        for a, b, c in tris:
-            mab = midpoint(a, b)
-            mbc = midpoint(b, c)
-            mca = midpoint(c, a)
-            next_tris.extend(
-                [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
-            )
-        tris = next_tris
-        boundary_side = new_boundary
-
-    n = len(verts)
-    z_arr = np.array(verts, dtype=complex)
-    xy = np.column_stack([z_arr.real, z_arr.imag])
-    tris_arr = np.asarray(tris, dtype=np.int64)
-
-    side_members = {k: set() for k in range(8)}
-    for e, k in boundary_side.items():
-        side_members[k].update(e)
-
+    Each level splits every triangle (a, b, c) into four at the midpoints
+    of ab, bc and ca.  New vertices are numbered in the order their edges
+    are first met, triangle by triangle, and a boundary edge splits at the
+    hyperbolic midpoint of its endpoints taken in that order.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
 
-    uf = _UnionFind(n)
+    if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= 8:
+        raise DomainError(f"refinement level must be an int in [0, 8], got {level!r}")
+
+    z = np.array([0j] + [p.z for p in domain.vertices])
+    tris = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
+    boundary = np.array([(1 + k, 1 + (k + 1) % 8, k) for k in range(8)])  # i, j, side
+    for _ in range(level):
+        n = len(z)
+        ends = tris[:, TRI_SIDES].reshape(-1, 2)
+        keys = ends.min(axis=1) * n + ends.max(axis=1)
+        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        new_id = np.empty_like(first)
+        new_id[np.argsort(first)] = np.arange(n, n + len(first))
+        split = ends[np.sort(first)]  # the edge each new vertex splits, as first met
+        new_z = 0.5 * (z[split[:, 0]] + z[split[:, 1]])
+        b_keys = boundary[:, :2].min(axis=1) * n + boundary[:, :2].max(axis=1)
+        b_mid = new_id[np.searchsorted(keys, b_keys)]
+        for m in b_mid - n:
+            new_z[m] = hyperbolic_midpoint(*z[split[m]])
+        z = np.concatenate([z, new_z])
+        (a, b, c), (ab, bc, ca) = tris.T, new_id[inverse].reshape(-1, 3).T
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
+        i, j, side = boundary.T
+        boundary = np.column_stack([i, b_mid, side, b_mid, j, side]).reshape(-1, 3)
+
+    xy = np.column_stack([z.real, z.imag])
+    glued = []
     for pairing in domain.pairings:
-        src_ids = sorted(side_members[pairing.source])
-        tgt_ids = sorted(side_members[pairing.target])
-        images = pairing.transform.apply_many(z_arr[src_ids])
+        src_ids, tgt_ids = (
+            np.unique(boundary[boundary[:, 2] == k, :2])
+            for k in (pairing.source, pairing.target)
+        )
+        images = pairing.transform.apply_many(z[src_ids])
         tree = cKDTree(xy[tgt_ids])
         dist, nearest = tree.query(np.column_stack([images.real, images.imag]))
         if dist.max() > GLUE_TOL:
@@ -237,30 +207,21 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
                 f"pairing {pairing.source}->{pairing.target}: boundary vertex "
                 f"image off by {dist.max():.3e} (tolerance {GLUE_TOL})"
             )
-        if len(set(nearest.tolist())) != len(src_ids):
+        if np.unique(nearest).size != len(src_ids):
             raise TopologyError(
                 f"pairing {pairing.source}->{pairing.target} is not a bijection "
                 "on boundary vertices"
             )
-        for i_src, j in zip(src_ids, nearest):
-            uf.union(i_src, tgt_ids[j])
+        glued.append(np.column_stack([src_ids, tgt_ids[nearest]]))
+    src, tgt = np.concatenate(glued).T
+    # labels number the glued classes in order of their lowest raw vertex
+    n_rep, rep = connected_components(
+        coo_matrix((np.ones(len(src)), (src, tgt)), shape=(len(z), len(z))),
+        directed=False,
+    )
 
-    roots = [uf.find(i) for i in range(n)]
-    rep = np.empty(n, dtype=np.int64)
-    seen = {}
-    for i, r in enumerate(roots):
-        if r not in seen:
-            seen[r] = len(seen)
-        rep[i] = seen[r]
-
-    edge_set = set()
-    for a, b, c in tris:
-        edge_set.add((min(a, b), max(a, b)))
-        edge_set.add((min(b, c), max(b, c)))
-        edge_set.add((min(c, a), max(c, a)))
-    edges = np.array(sorted(edge_set), dtype=np.int64)
-
-    areas = tri_areas(xy[:, 0], xy[:, 1], tris_arr)
+    edges = np.unique(np.sort(tris[:, TRI_SIDES].reshape(-1, 2), axis=1), axis=0)
+    areas = tri_areas(xy[:, 0], xy[:, 1], tris)
     if not np.all(np.isfinite(areas)) or areas.min() <= 1e-14:
         raise MeshQualityError(
             f"degenerate triangle: min angle-deficit area {areas.min():.3e}"
@@ -271,43 +232,26 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
 
     return SurfaceMesh(
         xy=xy,
-        tris=tris_arr,
-        rep=rep,
-        n_rep=len(seen),
+        tris=tris,
+        rep=rep.astype(np.int64),
+        n_rep=n_rep,
         level=level,
         edges=edges,
         edge_len_sigma=lengths,
         tri_area_sigma=areas,
-        boundary_edge_count=len(boundary_side),
+        boundary_edge_count=len(boundary),
     )
 
 
-@dataclass(frozen=True)
-class SystoleGeodesic:
-    """The closed geodesic along the real axis (axis of the first pairing).
+class HyperbolicSurface:
+    """The closed genus-2 surface carried by the octagon domain.
 
-    On the quotient it runs from one side midpoint to the opposite one and
-    closes up; its length equals the minimal generator translation length.
-    `chart` gives normal (Fermi) coordinates (r, s): r the signed distance
-    from the axis, s the position along it, with s in [-half_range,
-    half_range] covering one period.
+    The real axis closes up to a systole geodesic; hyp.axis_distances and
+    hyp.fermi_points chart its collar, embedded for |r| <= collar_half_width
+    (the collar lemma allows arcsinh(1 / sinh(systole / 2)) = 0.4407).
     """
 
-    length: float
-    half_range: float
-    chart: object  # geom.CylinderChart
-
-    def curve(self, n: int = CURVE_SAMPLES):
-        """Sampled copy of the geodesic, endpoints identified copies."""
-        from .geom import Curve
-
-        s = np.linspace(-self.half_range, self.half_range, n)
-        x = np.tanh(0.5 * s)
-        return Curve(samples=np.column_stack([x, np.zeros_like(x)]))
-
-
-class HyperbolicSurface:
-    """The closed genus-2 surface carried by the octagon domain."""
+    collar_half_width = 0.44
 
     def __init__(self, domain: FundamentalDomain = None):
         self.domain = domain if domain is not None else build_octagon_domain()
@@ -316,14 +260,6 @@ class HyperbolicSurface:
         self.inj_radius = 0.5 * self.systole
         self.total_area = self.domain.area
         self.euler = -2
-
-    def systole_geodesic(self) -> SystoleGeodesic:
-        from .geom import CylinderChart
-
-        chart = CylinderChart(core_length=self.systole, half_width=0.44)
-        return SystoleGeodesic(
-            length=self.systole, half_range=self.domain.in_radius, chart=chart
-        )
 
 
 def base_spectrum(surface: HyperbolicSurface, mesh: SurfaceMesh, k: int):

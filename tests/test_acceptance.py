@@ -98,7 +98,7 @@ def test_criterion_03_dumbbell_lambda1_collapse(surface, mesh3):
 
 def test_criterion_04_shrinker_systole_and_diameter(surface, mesh3):
     t0 = time.perf_counter()
-    curve = surface.systole_geodesic().curve(2049)
+    curve = geom.systole_curve(surface, 2049)
     base_diam = geom.diameter_estimate(base_metric(surface), mesh3, samples_per_edge=8)
     worst_len = 0.0
     worst_ratio = 0.0
@@ -183,9 +183,8 @@ def test_criterion_08_green_identity_residuals(surface):
     at_max_fine = geom.at_max_green_residual(radial, 0j, 1.0, grid=(512, 512))
     at_max_half = geom.at_max_green_residual(radial, 0j, 1.0, grid=(256, 256))
     shr = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    chart = surface.systole_geodesic().chart
-    collar_fine = geom.collar_green_residual(shr, chart, 0.02, 0.3, grid=(512, 512))
-    collar_half = geom.collar_green_residual(shr, chart, 0.02, 0.3, grid=(256, 256))
+    collar_fine = geom.collar_green_residual(shr, 0.02, 0.3, grid=(512, 512))
+    collar_half = geom.collar_green_residual(shr, 0.02, 0.3, grid=(256, 256))
     elapsed = time.perf_counter() - t0
     ok = (
         at_max_fine < 1e-3

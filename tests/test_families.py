@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conformal_lab import conformal, families
-from conformal_lab.errors import DomainError, ParameterError, UsageError
+from conformal_lab.errors import DomainError, ParameterError, RangeError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
     MIN_SPIKE_DELTA,
@@ -20,7 +20,7 @@ from conformal_lab.families import (
     dumbbell,
     systole_shrinker,
 )
-from conformal_lab.geom import curve_length
+from conformal_lab.geom import curve_length, systole_curve
 from conformal_lab.hyp import disk_distance, distances_to
 
 SYSTOLE = 3.0571418389619947
@@ -82,7 +82,7 @@ def test_shrinker_axis_value_hits_target(surface):
 
 def test_shrinker_systole_length(surface):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    curve = surface.systole_geodesic().curve(n=4097)
+    curve = systole_curve(surface, n=4097)
     assert curve_length(metric, curve) == pytest.approx(0.2, rel=1e-9)
 
 
@@ -93,15 +93,14 @@ def test_shrinker_area_is_normalized(surface):
 
 
 def test_shrinker_parameter_guards(surface):
-    gamma = surface.systole_geodesic()
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, gamma, 0.0, 0.1)
+        systole_shrinker(surface, 0.0, 0.1)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, gamma, SYSTOLE + 0.1, 0.1)
+        systole_shrinker(surface, SYSTOLE + 0.1, 0.1)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, gamma, 0.2, 0.0)
+        systole_shrinker(surface, 0.2, 0.0)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, gamma, 0.2, 0.5)  # beyond embedded collar
+        systole_shrinker(surface, 0.2, 0.5)  # beyond embedded collar
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +324,17 @@ def test_field_chart_rules_return_finite_floats(surface, family):
     for value in (field.exp_integral(1), field.exp_integral(2), field.laplacian_integral()):
         assert isinstance(value, float)
         assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILY_NAMES if f != "cylinder"])
+def test_u_at_rejects_points_off_the_open_disk(surface, family):
+    metric = families.make(surface, family, **CONTRACT_PARAMS[family])
+    for x, y in [(0.9, 0.9), (1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.nan)]:
+        with pytest.raises(RangeError):
+            metric.u_at(x, y)
+        with pytest.raises(RangeError):
+            metric.u_at(np.array([0.0, x]), np.array([0.0, y]))
+    assert np.all(np.isfinite(metric.u_at(np.array([0.0, 0.99]), np.array([0.0, 0.0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from conformal_lab.conformal import base_metric
 from conformal_lab.errors import DomainError, RangeError, TopologyError, UsageError
 from conformal_lab.geom import (
     Curve,
-    CylinderChart,
     at_max_green_residual,
     circle_integral_u,
     circle_lower_bound,
@@ -28,8 +27,9 @@ from conformal_lab.geom import (
     diameter_estimate,
     jensen_lower_bound,
     region_integral_u,
+    systole_curve,
 )
-from conformal_lab.hyp import MobiusTransform, disk_distance
+from conformal_lab.hyp import MobiusTransform, axis_distances, disk_distance, fermi_points
 
 
 # ---------------------------------------------------------------------------
@@ -43,21 +43,19 @@ def test_curve_needs_two_samples():
         Curve(samples=np.zeros((4, 3)))
 
 
-def test_cylinder_chart_roundtrip():
-    chart = CylinderChart(core_length=3.0, half_width=0.44)
+def test_fermi_chart_roundtrip():
     for r, s in [(0.1, 0.5), (-0.3, -1.2), (0.44, 1.4)]:
-        z = complex(chart.to_disk_z(r, s))
+        z = complex(fermi_points(r, s))
         # (r, s) from the disk point, normal coordinates of the real axis
         nrm = abs(z) ** 2
-        r2 = math.asinh(2.0 * z.imag / (1.0 - nrm))
+        r2 = axis_distances(z.real, z.imag)
         s2 = math.atanh(2.0 * z.real / (1.0 + nrm))
         assert r2 == pytest.approx(r, abs=1e-13)
         assert s2 == pytest.approx(s, abs=1e-13)
 
 
-def test_cylinder_chart_axis_is_real_axis():
-    chart = CylinderChart(core_length=3.0, half_width=0.44)
-    z = chart.to_disk_z(0.0, 0.7)
+def test_fermi_chart_axis_is_real_axis():
+    z = fermi_points(0.0, 0.7)
     assert complex(z).imag == 0.0
 
 
@@ -78,14 +76,14 @@ def test_curve_length_rejects_outside_samples(surface):
 
 def test_jensen_bound_base_is_equality(surface):
     base = base_metric(surface)
-    curve = surface.systole_geodesic().curve(n=513)
+    curve = systole_curve(surface, n=513)
     l_g, bound = jensen_lower_bound(base, curve)
     assert l_g == pytest.approx(bound, rel=1e-14)
 
 
 def test_jensen_bound_holds_for_deformed(surface):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    curve = surface.systole_geodesic().curve(n=513)
+    curve = systole_curve(surface, n=513)
     l_g, bound = jensen_lower_bound(metric, curve)
     assert l_g >= bound - 1e-12 * max(1.0, abs(bound))
 
@@ -185,20 +183,18 @@ def test_at_max_residual_decays_second_order(surface):
 
 def test_collar_residual_decays_second_order(surface):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    chart = surface.systole_geodesic().chart
-    coarse = collar_green_residual(metric, chart, 0.02, 0.3, grid=(128, 128))
-    fine = collar_green_residual(metric, chart, 0.02, 0.3, grid=(256, 256))
+    coarse = collar_green_residual(metric, 0.02, 0.3, grid=(128, 128))
+    fine = collar_green_residual(metric, 0.02, 0.3, grid=(256, 256))
     assert fine < 1e-6
     assert coarse / fine == pytest.approx(4.0, rel=0.35)
 
 
 def test_collar_residual_guards(surface):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
-    chart = surface.systole_geodesic().chart
     with pytest.raises(RangeError):
-        collar_green_residual(metric, chart, 0.3, 0.02)
+        collar_green_residual(metric, 0.3, 0.02)
     with pytest.raises(RangeError):
-        collar_green_residual(metric, chart, 0.02, 0.6)
+        collar_green_residual(metric, 0.02, 0.6)
 
 
 # ---------------------------------------------------------------------------
