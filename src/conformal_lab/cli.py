@@ -81,19 +81,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path, what):
+    """The JSON document in the file at path; `what` names it in errors."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _write_text(text, path):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def load_config(path):
     """(level, grid, other keys) of a sweep config file.
 
     The file's own shape is checked here; report.sweep checks the other
     keys, as it does for every caller.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict) or "version" not in doc:
         raise UsageError(f"config file {path} must carry a top-level version")
     version = doc.pop("version")
@@ -109,16 +122,14 @@ def _write_or_print(text, path):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_text(text, path)
 
 
 def _cmd_mesh_build(args) -> int:
     surface = HyperbolicSurface()
     mesh = build_mesh(surface.domain, args.level)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(mesh.to_json())
+        _write_text(mesh.to_json(), args.out)
     print(
         f"level {mesh.level}: {mesh.n_rep} vertices, {mesh.n_tri} triangles, "
         f"chi={mesh.euler_characteristic()}, "
@@ -142,13 +153,7 @@ def _cmd_metric_make(args) -> int:
 
 
 def _load_metric(path, surface):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"metric descriptor not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"descriptor {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "metric descriptor")
     return conformal.from_descriptor(doc, surface=surface)
 
 
@@ -183,7 +188,7 @@ def _cmd_verify(args) -> int:
         mesh = build_mesh(surface.domain, args.level)
     rep = report.verify_metric(metric, mesh, config)
     if args.report is not None:
-        rep.write(args.report)
+        _write_text(rep.to_json(), args.report)
     counts = {}
     for e in rep.entries:
         counts[e.status] = counts.get(e.status, 0) + 1

@@ -82,15 +82,21 @@ def universal_gap(area: float, chi: int) -> float:
 
 def coding_ball_count(volume: float, dim: int, rho: float) -> int:
     """Number of disjoint rho/4-balls that fit by volume alone."""
-    if volume <= 0.0:
-        raise ParameterError(f"volume must be positive, got {volume}")
-    if int(dim) != dim or dim < 2:
+    if not 0.0 < volume < math.inf:
+        raise ParameterError(f"volume must be positive and finite, got {volume}")
+    if not (math.isfinite(dim) and int(dim) == dim and dim >= 2):
         raise ParameterError(f"dimension must be an integer >= 2, got {dim}")
-    if rho <= 0.0:
-        raise ParameterError(f"separation rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ParameterError(f"separation rho must be positive and finite, got {rho}")
     eps = 0.25 * rho
-    nu = (eps * math.sqrt(math.pi)) ** dim / math.gamma(0.5 * dim + 1.0)
-    return int(math.floor(volume / nu))
+    try:
+        nu = (eps * math.sqrt(math.pi)) ** dim / math.gamma(0.5 * dim + 1.0)
+        return int(math.floor(volume / nu))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ParameterError(
+            f"ball count for volume {volume}, dim {dim}, rho {rho} is out of "
+            f"floating-point range: {exc}"
+        ) from exc
 
 
 def coding_entropy_bound(volume: float, dim: int, rho: float) -> float:

@@ -32,7 +32,6 @@ import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
 
 from . import conformal
 from .errors import ConstructionError, ParameterError, UsageError
@@ -91,16 +90,46 @@ def bump_jet(x, a):
     return phi, d1, d2
 
 
+def _simpson(y, x):
+    """Composite Simpson's rule of samples y at nodes x, for an odd count.
+
+    The arithmetic of scipy.integrate.simpson(y, x=x) (scipy 1.17) for an
+    odd count: each panel uses the unequal-spacing weights, and the same
+    guards make a zero spacing contribute 0 instead of a division by 0.
+    """
+    if len(x) % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd sample count, got {len(x)}")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    ratio = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv_ratio = np.true_divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
+    mid = hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - inv_ratio) + y[1:-1:2] * mid + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(tmp))
+
+
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x, starting from 0.
+
+    The arithmetic of scipy.integrate.cumulative_trapezoid(y, x, initial=0).
+    """
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _simpson_linear(fn, lo, hi, n=1025):
     x = np.linspace(lo, hi, n)
-    return float(simpson(fn(x), x=x))
+    return _simpson(fn(x), x)
 
 
 def _simpson_log(fn, lo, hi, n=2049):
     """Simpson in log r of fn(r) dr; handles intervals spanning decades."""
     x = np.linspace(math.log(lo), math.log(hi), n)
     r = np.exp(x)
-    return float(simpson(fn(r) * r, x=x))
+    return _simpson(fn(r) * r, x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +186,7 @@ class ShrinkerField(conformal.ScalarField):
     def exp_integral(self, power):
         r, phi, _, _, cosh, _ = _collar_table(self.delta)
         v = self.C - (self.depth + self.C) * phi
-        collar = 2.0 * self.sys * float(simpson(np.exp(power * v) * cosh, x=r))
+        collar = 2.0 * self.sys * _simpson(np.exp(power * v) * cosh, r)
         outside = self.base_area - 2.0 * self.sys * math.sinh(self.delta)
         return collar + math.exp(power * self.C) * outside
 
@@ -165,7 +194,7 @@ class ShrinkerField(conformal.ScalarField):
         r, _, d1, d2, cosh, tanh = _collar_table(self.delta)
         amp = self.depth + self.C
         lap = (-amp * d2 + tanh * (-amp * d1)) * cosh
-        return 2.0 * self.sys * float(simpson(lap, x=r))
+        return 2.0 * self.sys * _simpson(lap, r)
 
     def sign_probe_points(self):
         r = np.linspace(0.0, self.delta, 2049)
@@ -536,7 +565,7 @@ class RadialSlopeField(conformal.ScalarField):
         phi, _, _ = bump_jet(r, RADIAL_SUPPORT)
         slope = -np.tanh(0.5 * r) * self.amplitude * phi
         self._table_r = r
-        self._table_w = cumulative_trapezoid(slope, r, initial=0.0)
+        self._table_w = _cumulative_trapezoid(slope, r)
 
     def _w(self, r):
         return np.interp(np.asarray(r, dtype=float), self._table_r, self._table_w)
@@ -564,16 +593,14 @@ class RadialSlopeField(conformal.ScalarField):
     def exp_integral(self, power):
         w = self._table_w
         r = self._table_r
-        inside = float(
-            simpson(np.exp(power * w) * TWO_PI * np.sinh(r), x=r)
-        )
+        inside = _simpson(np.exp(power * w) * TWO_PI * np.sinh(r), r)
         ball_sigma = 4.0 * math.pi * math.sinh(0.5 * RADIAL_SUPPORT) ** 2
         outside = math.exp(power * float(w[-1])) * (self.base_area - ball_sigma)
         return math.exp(power * self.C) * (inside + outside)
 
     def laplacian_integral(self):
         r = self._table_r
-        return float(simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), x=r))
+        return _simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), r)
 
 
 def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.ConformalMetric:
@@ -689,10 +716,10 @@ def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
     slope_target = a * math.sinh(m)
     value_target = a * math.cosh(m) - target_neck
 
-    i0 = float(simpson(b0, x=t))
-    i2 = float(simpson(np.cosh(t) * b2, x=t))
-    j0 = float(simpson((m - t) * b0, x=t))
-    j2 = float(simpson((m - t) * np.cosh(t) * b2, x=t))
+    i0 = _simpson(b0, t)
+    i2 = _simpson(np.cosh(t) * b2, t)
+    j0 = _simpson((m - t) * b0, t)
+    j2 = _simpson((m - t) * np.cosh(t) * b2, t)
 
     # The free bump is even about its center w, so its slope contribution
     # is M * i1 and its value contribution exactly (m - w) * M * i1: the
@@ -716,8 +743,8 @@ def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
 
     b1 = bump_jet(np.abs(t - w), width1)[0]
     f2 = eta * b0 + M * b1 + a * np.cosh(t) * b2
-    f1 = cumulative_trapezoid(f2, t, initial=0.0)
-    f = target_neck + cumulative_trapezoid(f1, t, initial=0.0)
+    f1 = _cumulative_trapezoid(f2, t)
+    f = target_neck + _cumulative_trapezoid(f1, t)
 
     if abs(f[-1] - a * math.cosh(m)) > 1e-6 or abs(f1[-1] - a * math.sinh(m)) > 1e-6:
         raise ConstructionError(

@@ -124,10 +124,6 @@ class BoundsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
 
 def _check(name, lhs, rhs, relation, rel_slack, abs_slack, enforced, refs,
            detail=""):

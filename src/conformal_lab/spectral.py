@@ -290,7 +290,9 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
             vals, vecs = spla.eigsh(
                 K,
                 k=k,
-                M=sp.diags(mass).tocsc(),
+                M=spla.LinearOperator(
+                    (n, n), matvec=lambda x: mass * np.ravel(x), dtype=float
+                ),
                 sigma=SHIFT,
                 which="LM",
                 mode="normal",

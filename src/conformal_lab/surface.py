@@ -165,7 +165,6 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
 
     if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= 8:
         raise DomainError(f"refinement level must be an int in [0, 8], got {level!r}")
@@ -200,8 +199,9 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
             for k in (pairing.source, pairing.target)
         )
         images = pairing.transform.apply_many(z[src_ids])
-        tree = cKDTree(xy[tgt_ids])
-        dist, nearest = tree.query(np.column_stack([images.real, images.imag]))
+        # brute force: a side has at most 2**level + 1 boundary vertices
+        gaps = np.abs(images[:, None] - z[tgt_ids][None, :])
+        nearest, dist = gaps.argmin(axis=1), gaps.min(axis=1)
         if dist.max() > GLUE_TOL:
             raise TopologyError(
                 f"pairing {pairing.source}->{pairing.target}: boundary vertex "
@@ -220,7 +220,10 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
         directed=False,
     )
 
-    edges = np.unique(np.sort(tris[:, TRI_SIDES].reshape(-1, 2), axis=1), axis=0)
+    ends = tris[:, TRI_SIDES].reshape(-1, 2)
+    n = len(z)
+    keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+    edges = np.column_stack([keys // n, keys % n])
     areas = tri_areas(xy[:, 0], xy[:, 1], tris)
     if not np.all(np.isfinite(areas)) or areas.min() <= 1e-14:
         raise MeshQualityError(

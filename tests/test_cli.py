@@ -314,3 +314,31 @@ def test_entropy_coding_output(capsys):
 
 def test_entropy_coding_guard_exit_two(capsys):
     assert main(["entropy", "coding", "--volume", "0.01", "--dim", "2", "--rho", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--metric", "{dir}"], "cannot read metric descriptor"),
+    (["sweep", "--config", "{dir}"], "cannot read config file"),
+    (["metric", "make", "--family", "shrinker", "--eps", "0.2", "--delta", "0.1",
+      "--out", "{dir}/missing/x.json"], "cannot write"),
+    (["mesh", "build", "--level", "2", "--out", "{dir}/missing/m.json"], "cannot write"),
+    (["verify", "--metric", "{base}", "--level", "2", "--report", "{dir}"], "cannot write"),
+])
+def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, message):
+    base = tmp_path / "base.json"
+    assert main(["metric", "make", "--family", "base", "--out", str(base)]) == 0
+    argv = [a.format(dir=tmp_path, base=base) for a in argv]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("volume, rho", [
+    ("nan", "1.0"),
+    ("1.0", "nan"),
+    ("inf", "1.0"),
+    ("1e308", "1e-300"),  # the ball volume underflows to 0
+])
+def test_entropy_coding_non_finite_exit_two(capsys, volume, rho):
+    argv = ["entropy", "coding", "--volume", volume, "--dim", "2", "--rho", rho]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

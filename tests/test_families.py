@@ -8,12 +8,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from conformal_lab import conformal, families
 from conformal_lab.errors import DomainError, ParameterError, RangeError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
     MIN_SPIKE_DELTA,
+    _cumulative_trapezoid,
+    _simpson,
     bump_jet,
     cylinder_profile,
     default_dumbbell_anchors,
@@ -24,6 +27,34 @@ from conformal_lab.geom import curve_length, systole_curve
 from conformal_lab.hyp import disk_distance, distances_to
 
 SYSTOLE = 3.0571418389619947
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+@pytest.mark.parametrize("n", [1025, 2049, 4097, 8193, 32769])  # every grid size used
+def test_quadrature_helpers_equal_scipy(n):
+    """Bit for bit on a linear grid and on the log-r grid of _simpson_log."""
+    noise = np.random.default_rng(n).standard_normal(n)
+    for x in (np.linspace(0.0, 0.7, n), np.linspace(math.log(1e-4), math.log(0.1), n)):
+        for y in (np.cosh(x) * np.exp(-x * x), np.exp(x), noise):
+            assert _simpson(y, x) == simpson(y, x=x)
+            assert np.array_equal(
+                _cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+            )
+
+
+def test_simpson_keeps_scipys_zero_spacing_guards():
+    x = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 2.0])
+    y = np.arange(7.0) ** 2
+    assert _simpson(y, x) == simpson(y, x=x)
+
+
+def test_simpson_rejects_an_even_sample_count():
+    x = np.linspace(0.0, 1.0, 1024)
+    with pytest.raises(ValueError, match="odd sample count"):
+        _simpson(x, x)
 
 
 # ---------------------------------------------------------------------------

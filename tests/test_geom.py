@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import logging
 import math
@@ -13,6 +14,7 @@ import pytest
 import scipy.sparse.csgraph
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from conformal_lab import build_mesh, families, geom, report
 from conformal_lab.conformal import base_metric
@@ -30,6 +32,7 @@ from conformal_lab.geom import (
     systole_curve,
 )
 from conformal_lab.hyp import MobiusTransform, axis_distances, disk_distance, fermi_points
+from conformal_lab.surface import GLUE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,49 @@ def test_diameter_equals_all_pairs_at_level4(surface, mesh4):
         assert diameter_estimate(metric, mesh4, samples_per_edge=8) == (
             _all_pairs_diameter(metric, mesh4, 8)
         ), params
+
+
+def _kdtree_symmetries(mesh):
+    """geom._octagon_symmetries with each image matched to its nearest raw
+    vertex by a k-d tree, followed by the same checks."""
+    z = mesh.xy[:, 0] + 1j * mesh.xy[:, 1]
+    n_raw = len(z)
+    edge_keys = mesh.edges.min(axis=1) * n_raw + mesh.edges.max(axis=1)
+    edge_order = np.argsort(edge_keys)
+    sorted_keys = edge_keys[edge_order]
+    tree = cKDTree(mesh.xy)
+    rep_inverse = [np.arange(mesh.n_rep)]
+    edge_perm = [np.arange(len(edge_keys))]
+    for flip in (False, True):
+        for k in range(1 - flip, 8):
+            image = (np.conj(z) if flip else z) * cmath.exp(1j * k * math.pi / 4.0)
+            dist, vmap = tree.query(np.column_stack([image.real, image.imag]))
+            if dist.max() > GLUE_TOL or np.unique(vmap).size != n_raw:
+                continue
+            rep_map = np.empty(mesh.n_rep, dtype=np.int64)
+            rep_map[mesh.rep] = mesh.rep[vmap]
+            if not np.array_equal(rep_map[mesh.rep], mesh.rep[vmap]):
+                continue
+            ends = vmap[mesh.edges]
+            keys = ends.min(axis=1) * n_raw + ends.max(axis=1)
+            pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+            if not np.array_equal(sorted_keys[pos], keys):
+                continue
+            inverse = np.empty(mesh.n_rep, dtype=np.int64)
+            inverse[rep_map] = np.arange(mesh.n_rep)
+            rep_inverse.append(inverse)
+            edge_perm.append(edge_order[pos])
+    return np.array(rep_inverse), np.array(edge_perm)
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_octagon_symmetries_equal_a_kdtree_match(surface, level):
+    mesh = build_mesh(surface.domain, level)
+    rep_inverse, edge_perm = geom._octagon_symmetries(mesh)
+    ref_inverse, ref_perm = _kdtree_symmetries(mesh)
+    assert len(rep_inverse) == 16
+    assert np.array_equal(rep_inverse, ref_inverse)
+    assert np.array_equal(edge_perm, ref_perm)
 
 
 SYMMETRY_MEMBERS = [

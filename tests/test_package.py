@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import conformal_lab
@@ -12,6 +15,36 @@ from conformal_lab.spectral import SpectralResult
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "pipebench" / "tracing.py"
+
+#: scipy subpackages the lab must not load: each costs import time in
+#: every CLI process, and the lab has no use for them
+UNUSED_SCIPY = (
+    "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial"
+)
+
+#: a fresh interpreter that imports the package, then runs a level-2
+#: verify (ARPACK path) and a level-2 sweep with every conformal family,
+#: and prints the unused scipy subpackages it finds loaded
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+import conformal_lab
+from conformal_lab.cli import main
+
+out = Path(sys.argv[1])
+desc, cfg = out / "shrinker.json", out / "sweep.json"
+assert main(["metric", "make", "--family", "shrinker", "--eps", "0.2",
+             "--delta", "0.1", "--out", str(desc)]) == 0
+assert main(["verify", "--metric", str(desc), "--level", "2", "--k", "10"]) == 0
+cfg.write_text(json.dumps({"version": 1, "level": 2, "grid": [
+    {"family": "shrinker", "eps": 0.2, "delta": 0.1},
+    {"family": "stretcher", "eps": 0.2, "delta": 0.1},
+    {"family": "dumbbell", "eps": 0.2, "delta": 0.1},
+    {"family": "nonpositive_radial", "amplitude": 0.5},
+]}))
+assert main(["sweep", "--config", str(cfg), "--out", str(out / "sweep.csv")]) == 0
+print(sorted(set(sys.argv[2:]) & set(sys.modules)))
+"""
 
 
 def test_every_exported_name_resolves():
@@ -42,3 +75,16 @@ def test_declared_numpy_floor_has_trapezoid():
     pyproject = (ROOT / "pyproject.toml").read_text()
     (floor,) = re.findall(r'"numpy>=([0-9.]+)"', pyproject)
     assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
+
+
+def test_cli_runs_load_no_unused_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path), *UNUSED_SCIPY],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
