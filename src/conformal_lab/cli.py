@@ -7,7 +7,9 @@ usage errors with code 2, which matches the convention.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from . import conformal, entropy, families, report, spectral
@@ -233,6 +235,15 @@ def _cmd_entropy_coding(args) -> int:
 
 
 def _dispatch(args) -> int:
+    # refuse an unwritable output path before any work; nothing is opened,
+    # so a file already there stays as it is if the command fails later
+    for path in (getattr(args, "out", None), getattr(args, "report", None)):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     if args.command == "mesh":
         return _cmd_mesh_build(args)
     if args.command == "metric":

@@ -233,8 +233,12 @@ def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
 # ---------------------------------------------------------------------------
 # spike stretcher and dumbbell
 
-# below this delta the squared conformal factor overflows double precision
-MIN_SPIKE_DELTA = 0.003
+# The closed-form Laplacian needs rho'' finite.  Near r1 = exp(-1/delta)
+# the inner bump's second derivative scales like r1^-2, so rho'' grows
+# like exp(log_inner + 2/delta), about exp(3/delta): it overflows double
+# precision (exp(709.8)) below delta ~ 0.00423, whatever eps.  The
+# squared factor exp(2 log_inner) alone would allow delta down to 0.003.
+MIN_SPIKE_DELTA = 0.005
 
 
 class _PowerSpike:
@@ -409,8 +413,8 @@ def _spike_checks(surface, eps, delta, anchors):
         )
     if delta < MIN_SPIKE_DELTA:
         raise ParameterError(
-            f"delta {delta} below {MIN_SPIKE_DELTA}: conformal factor would "
-            "overflow double precision"
+            f"delta {delta} below {MIN_SPIKE_DELTA}: the closed-form Laplacian "
+            "would overflow double precision"
         )
     r_in = surface.domain.in_radius
     for p in anchors:
@@ -418,6 +422,13 @@ def _spike_checks(surface, eps, delta, anchors):
             raise ParameterError(
                 f"eps-ball around {p} leaves the fundamental domain "
                 f"(needs distance-to-center + eps <= {r_in:.4f})"
+            )
+    if len(anchors) == 2:
+        sep = disk_distance(*anchors)
+        if sep <= 2.0 * eps:
+            raise ParameterError(
+                f"anchors at distance {sep:.4f} overlap: "
+                f"need d(p, q) > 2 eps = {2 * eps}"
             )
 
 
@@ -477,23 +488,23 @@ class SpikeField(conformal.ScalarField):
         return rays.real, rays.imag
 
 
-def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
-    """Metric growing a long thin spike at p (diameter blows up as delta->0)."""
-    pz = _as_complex(p)
-    _spike_checks(surface, eps, delta, [pz])
-
-    field = functools.partial(SpikeField, surface.total_area, (pz,), eps, delta)
+def _spike_metric(surface, family, anchors, eps, delta, C):
+    """The stretcher (one anchor) or dumbbell (two anchors) member."""
+    _spike_checks(surface, eps, delta, anchors)
+    field = functools.partial(SpikeField, surface.total_area, anchors, eps, delta)
     if C is None:
         C = conformal.normalize_area_quadratic(
             lambda c: field(c).exp_integral(2), surface.total_area
         )
-    return conformal.make_metric(
-        surface,
-        field(C),
-        "stretcher",
-        {"eps": eps, "delta": delta, "p": [pz.real, pz.imag]},
-        C,
-    )
+    params = {"eps": eps, "delta": delta}
+    for key, anchor in zip("pq", anchors):
+        params[key] = [anchor.real, anchor.imag]
+    return conformal.make_metric(surface, field(C), family, params, C)
+
+
+def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
+    """Metric growing a long thin spike at p (diameter blows up as delta->0)."""
+    return _spike_metric(surface, "stretcher", (_as_complex(p),), eps, delta, C)
 
 
 def default_dumbbell_anchors(surface):
@@ -512,31 +523,8 @@ def dumbbell(surface, p, q, eps, delta, C=None) -> conformal.ConformalMetric:
         p, q = default_dumbbell_anchors(surface)
     elif p is None or q is None:
         raise UsageError("family 'dumbbell' needs both anchors 'p' and 'q' or neither")
-    pz, qz = _as_complex(p), _as_complex(q)
-    _spike_checks(surface, eps, delta, [pz, qz])
-    sep = disk_distance(pz, qz)
-    if sep <= 2.0 * eps:
-        raise ParameterError(
-            f"anchors at distance {sep:.4f} overlap: need d(p, q) > 2 eps = {2 * eps}"
-        )
-
-    field = functools.partial(SpikeField, surface.total_area, (pz, qz), eps, delta)
-    if C is None:
-        C = conformal.normalize_area_quadratic(
-            lambda c: field(c).exp_integral(2), surface.total_area
-        )
-    return conformal.make_metric(
-        surface,
-        field(C),
-        "dumbbell",
-        {
-            "eps": eps,
-            "delta": delta,
-            "p": [pz.real, pz.imag],
-            "q": [qz.real, qz.imag],
-        },
-        C,
-    )
+    anchors = (_as_complex(p), _as_complex(q))
+    return _spike_metric(surface, "dumbbell", anchors, eps, delta, C)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +629,11 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 # ---------------------------------------------------------------------------
 # warped-product cylinder profile (not conformal to sigma)
 
+# cosh r overflows double precision past r ~ 710.5, so the profile and its
+# quadratures need the match radius below that (the convex interpolation
+# is infeasible long before)
+CYLINDER_MAX_MATCH_RADIUS = 700.0
+
 
 class CylinderMetric:
     """Rotationally symmetric metric dr^2 + f(r)^2 dtheta^2 on a cylinder.
@@ -701,6 +694,11 @@ def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
         raise ParameterError(f"profile scale a must be positive, got {a}")
     if match_radius <= 0.0:
         raise ParameterError(f"match radius must be positive, got {match_radius}")
+    if match_radius > CYLINDER_MAX_MATCH_RADIUS:
+        raise ParameterError(
+            f"match radius {match_radius} above {CYLINDER_MAX_MATCH_RADIUS}: "
+            "cosh would overflow double precision"
+        )
     if not 0.0 < target_neck < a:
         raise ParameterError(
             f"need 0 < target_neck < a = {a}, got {target_neck}"

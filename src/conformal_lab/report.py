@@ -330,10 +330,10 @@ def _conformal_entries(metric, mesh, cfg):
         ))
 
     k = cfg["k"]
-    base_result = base_spectrum(surface, mesh, k)
-    deformed = spectral.eigenvalues(spectral.assemble(metric, mesh), k)
+    system = spectral.assemble(metric, mesh)
+    deformed = spectral.eigenvalues(system, k)
     sandwich = spectral.conformal_eigen_sandwich(
-        metric, mesh, base_result, k, deformed_result=deformed
+        system, base_spectrum(surface, mesh, k), deformed
     )
     entries.append(_check(
         "eigen_sandwich_margin", sandwich.worst_margin, 0.0, ">=",
@@ -369,7 +369,7 @@ def _conformal_entries(metric, mesh, cfg):
 
     if metric.family == "dumbbell":
         def dumbbell_entries():
-            bound = spectral.dumbbell_test_bound(metric, mesh)
+            bound = spectral.dumbbell_test_bound(metric, system)
             lam1 = float(deformed.eigenvalues[1])
             yield _check(
                 "dumbbell_lambda1_bound", lam1, bound.total, "<=",
@@ -503,7 +503,8 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
                 raise UsageError(
                     f"family '{fam}' has no conformal sweep columns"
                 )
-            result = spectral.eigenvalues(spectral.assemble(metric, mesh), 1)
+            system = spectral.assemble(metric, mesh)
+            result = spectral.eigenvalues(system, 1)
             row["area"] = metric.area
             row["max_u"] = metric.u_max
             row["lambda1"] = float(result.eigenvalues[1])
@@ -514,7 +515,7 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
             row["katok_factor"] = entropy.katok_bounds(metric).katok_factor
             if fam == "dumbbell":
                 row["dumbbell_bound"] = spectral.dumbbell_test_bound(
-                    metric, mesh
+                    metric, system
                 ).total
         except LabError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

@@ -132,7 +132,7 @@ def dissection_order(mesh):
     return mesh._cache["dissection_order"]
 
 
-def _shift_invert(system) -> spla.LinearOperator:
+def _shift_invert(system):
     """x -> (K - SHIFT * M)^{-1} x, factored in the mesh's dissection order."""
     perm, K_perm = dissection_order(system.mesh)
     lu = spla.splu(
@@ -143,19 +143,18 @@ def _shift_invert(system) -> spla.LinearOperator:
     )
 
     def solve(b):
-        x = np.empty(system.dimension)
-        x[perm] = lu.solve(np.ravel(b)[perm])
+        x = np.empty(len(perm))
+        x[perm] = lu.solve(b[perm])
         return x
 
-    n = system.dimension
-    return spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    return solve
 
 
 @dataclass
 class SpectralSystem:
     stiffness: sp.csr_matrix
     mass: np.ndarray          # diagonal entries
-    dimension: int
+    u: np.ndarray             # conformal factor at the raw mesh vertices
     mesh: object
 
 
@@ -188,30 +187,22 @@ def assemble(metric, mesh) -> SpectralSystem:
             f"mass lumping produced a nonpositive or nonfinite entry "
             f"(min {mass.min():.3e}); the conformal factor overflows this mesh"
         )
-    return SpectralSystem(stiffness=K, mass=mass, dimension=mesh.n_rep, mesh=mesh)
+    return SpectralSystem(stiffness=K, mass=mass, u=u, mesh=mesh)
 
 
 @dataclass
 class SpectralResult:
     eigenvalues: np.ndarray      # nondecreasing, length k+1; [0] is exactly 0.0
-    vectors: np.ndarray          # (dimension, k+1), M-orthonormal columns;
+    vectors: np.ndarray          # (n_rep, k+1), M-orthonormal columns;
                                  # [:, 0] is the constant 1 / sqrt(1'M1)
     residuals: np.ndarray        # ||K v - lambda M v||_{M^-1} / ||v||_M
     backward_errors: np.ndarray  # ||K v - lambda M v|| scaled by matrix norms
     mesh: object                 # the mesh solved on
 
-    @property
-    def level(self) -> int:
-        return self.mesh.level
-
-    @property
-    def dimension(self) -> int:
-        return self.mesh.n_rep
-
     def to_csv(self) -> str:
         lines = ["k, lambda, residual, level"]
         for i, (lam, res) in enumerate(zip(self.eigenvalues, self.residuals)):
-            lines.append(f"{i}, {lam:.17g}, {res:.6e}, {self.level}")
+            lines.append(f"{i}, {lam:.17g}, {res:.6e}, {self.mesh.level}")
         return "\n".join(lines) + "\n"
 
 
@@ -244,7 +235,7 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
     The other k are solved on the M-orthogonal complement of the
     constants and clipped at 0.
     """
-    n = system.dimension
+    n = system.mesh.n_rep
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
     if k + 1 > n:
@@ -280,7 +271,7 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
             nonlocal solves
             solves += 1
             b = np.ravel(b)
-            x = solve.matvec(b - mass * (b.sum() / total_mass))
+            x = solve(b - mass * (b.sum() / total_mass))
             return x - mass_ones @ x
 
         v0 = np.random.default_rng(0).standard_normal(n)
@@ -330,10 +321,9 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
 def rayleigh(system: SpectralSystem, f) -> float:
     """Rayleigh quotient f'Kf / f'Mf on representative vertices."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (system.dimension,):
-        raise UsageError(
-            f"vector of length {f.shape} against a {system.dimension}-dim system"
-        )
+    n = system.mesh.n_rep
+    if f.shape != (n,):
+        raise UsageError(f"vector of length {f.shape} against a {n}-dim system")
     den = float(f @ (system.mass * f))
     if den == 0.0:
         raise DomainError("Rayleigh quotient of the zero vector")
@@ -350,24 +340,23 @@ class DumbbellBound:
     ramp_energy_pair: float  # continuum Dirichlet energy of both ramps
 
 
-def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
+def dumbbell_test_bound(metric, system: SpectralSystem) -> DumbbellBound:
     """Min-Max upper bound for lambda_1 of a dumbbell member.
 
     Builds the two plateau-and-ramp test functions supported in the
     deformation balls (1 on the stretched core, falling linearly in the
     g-radial distance across the power-law annulus, 0 outside) and
-    returns the sum of their Rayleigh quotients together with the
-    closed-form annulus energy bound.
+    returns the sum of their Rayleigh quotients on the member's assembled
+    system together with the closed-form annulus energy bound.
     """
     if getattr(metric, "family", None) != "dumbbell":
         raise ParameterError(
             f"dumbbell bound asked of family {getattr(metric, 'family', None)!r}"
         )
-    field = metric.field
-    spike = field.spike
-    system = assemble(metric, mesh)
+    mesh = system.mesh
+    spike = metric.field.spike
     fs = []
-    for anchor in field.anchors:
+    for anchor in metric.field.anchors:
         f_raw = spike.ramp_values(distances_to(mesh.xy[:, 0], mesh.xy[:, 1], anchor))
         f = np.zeros(mesh.n_rep)
         f[mesh.rep] = f_raw
@@ -391,26 +380,23 @@ def dumbbell_test_bound(metric, mesh) -> DumbbellBound:
 class SandwichResult:
     lower: np.ndarray
     upper: np.ndarray
-    deformed: np.ndarray
-    base: np.ndarray
     violations: int
     worst_margin: float   # most negative slack, >= 0 when all hold
 
-    @property
-    def holds(self) -> bool:
-        return self.violations == 0
-
 
 def conformal_eigen_sandwich(
-    metric, mesh, base_result: SpectralResult, k: int, deformed_result=None
+    system: SpectralSystem,
+    base_result: SpectralResult,
+    deformed_result: SpectralResult,
 ) -> SandwichResult:
-    """Two-sided eigenvalue comparison against the base spectrum.
+    """Two-sided eigenvalue comparison of a member against the base spectrum.
 
     The lumped mass matrices satisfy exp(2 min u) M_sigma <= M_g <=
     exp(2 max u) M_sigma entrywise with extrema taken over vertex values
     of u, so exp(-2 max u) lambda_k(sigma) <= lambda_k(g) <=
     exp(-2 min u) lambda_k(sigma) holds at matrix level; only round-off
-    guards appear here.
+    guards appear here.  The vertex values are the member's system's;
+    deformed_result is that system's spectrum.
 
     The bounds are built from the base spectrum clipped at 0, with
     lambda_0 pinned to 0: K is positive semidefinite and M a positive
@@ -419,45 +405,38 @@ def conformal_eigen_sandwich(
     lambda_0 is 0.  `eigenvalues` returns it as exactly 0.0 and clips the
     rest at 0, but a spectrum from elsewhere may carry +-1e-14 there;
     scaling a negative value would put lower above upper, so the bounds
-    must not follow the round-off.  `base` keeps the given values.  Both
-    spectra must come from this very mesh object, not only its level.
+    must not follow the round-off.  Both spectra must come from the
+    system's very mesh object, not only its level.
     """
+    mesh = system.mesh
     for name, result in (("base", base_result), ("deformed", deformed_result)):
-        if result is not None and result.mesh is not mesh:
+        if result.mesh is not mesh:
             raise UsageError(
                 f"{name} spectrum computed on another mesh (level "
-                f"{result.level}), not this level-{mesh.level} mesh"
+                f"{result.mesh.level}), not this level-{mesh.level} mesh"
             )
-    if deformed_result is None:
-        deformed_result = eigenvalues(assemble(metric, mesh), k)
-    m = min(k + 1, len(base_result.eigenvalues), len(deformed_result.eigenvalues))
+    m = min(len(base_result.eigenvalues), len(deformed_result.eigenvalues))
     base = base_result.eigenvalues[:m]
     lam = deformed_result.eigenvalues[:m]
     exact = np.maximum(base, 0.0)
     exact[0] = 0.0
-    u = metric.u_raw(mesh)
-    lower = math.exp(-2.0 * float(np.max(u))) * exact
-    upper = math.exp(-2.0 * float(np.min(u))) * exact
+    u_max = float(np.max(system.u))
+    u_min = float(np.min(system.u))
+    lower = math.exp(-2.0 * u_max) * exact
+    upper = math.exp(-2.0 * u_min) * exact
     # Round-off envelope: both solvers carry absolute noise of order
     # eps * ||pencil|| (visible on the zero eigenvalue), and the bounds
     # multiply the base spectrum by up to exp(-2 min u), so the guard
     # scales the same way.  True violations live at the relative scale
     # of the eigenvalues and stay far above this.
-    scale = max(
-        1.0,
-        math.exp(-2.0 * float(np.min(u))),
-        math.exp(-2.0 * float(np.max(u))),
-    )
+    scale = max(1.0, math.exp(-2.0 * u_min), math.exp(-2.0 * u_max))
     atol = 1e-10 * scale * max(1.0, float(np.max(np.abs(base))))
     lo_slack = lam - (lower - 1e-9 * np.abs(lower) - atol)
     hi_slack = (upper + 1e-9 * np.abs(upper) + atol) - lam
     slack = np.minimum(lo_slack, hi_slack)
-    violations = int(np.sum(slack < 0.0))
     return SandwichResult(
         lower=lower,
         upper=upper,
-        deformed=lam,
-        base=base,
-        violations=violations,
+        violations=int(np.sum(slack < 0.0)),
         worst_margin=float(np.min(slack)),
     )

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conformal_lab import cli, errors, families, geom
+from conformal_lab import cli, errors, families, geom, report, spectral
 from conformal_lab.cli import main
 from conformal_lab.conformal import base_metric
 
@@ -330,6 +330,41 @@ def test_unreadable_or_unwritable_file_exit_two(tmp_path, capsys, argv, message)
     argv = [a.format(dir=tmp_path, base=base) for a in argv]
     assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{config}", "--out", "{path}"],
+    ["verify", "--metric", "{base}", "--report", "{path}"],
+    ["spectrum", "--metric", "{base}", "--k", "2", "--out", "{path}"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-parent", "directory"])
+def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys,
+                                                 argv, where, reason):
+    base = tmp_path / "base.json"
+    assert main(["metric", "make", "--family", "base", "--out", str(base)]) == 0
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"version": 1, "level": 2}))
+
+    def work(*args, **kwargs):
+        pytest.fail("the command ran its work before checking its output path")
+
+    for module, name in ((cli, "build_mesh"), (report, "sweep"),
+                         (report, "verify_metric"), (spectral, "eigenvalues")):
+        monkeypatch.setattr(module, name, work)
+    path = tmp_path / where
+    argv = [a.format(config=config, base=base, path=path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("radius", ["711", "1e6"])
+def test_cylinder_match_radius_overflow_exit_two(capsys, radius):
+    code = main(["metric", "make", "--family", "cylinder", "--match-radius", radius])
+    assert code == 2
+    assert "cosh would overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("volume, rho", [

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from conformal_lab import conformal, families
@@ -183,6 +184,26 @@ def test_spike_parameter_guards(surface):
     with pytest.raises(ParameterError):
         # eps-ball pokes out of the fundamental domain
         families.make(surface, "stretcher", p=0.6 + 0j, eps=0.3, delta=0.1)
+
+
+@pytest.mark.parametrize("family", ["stretcher", "dumbbell"])
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(1e-3, 1.6), position=st.floats(0.0, 1.0))
+def test_accepted_spike_members_have_finite_closed_forms(surface, family, eps, position):
+    """Down to the delta floor, whatever make accepts evaluates finitely."""
+    top = 1.0 / math.log(2.0 / eps)
+    delta = MIN_SPIKE_DELTA + position * (top - MIN_SPIKE_DELTA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            field = families.make(surface, family, eps=eps, delta=delta).field
+        except ParameterError:
+            assume(False)
+        x, y = field.sign_probe_points()
+        assert np.all(np.isfinite(field.values(x, y)))
+        assert np.all(np.isfinite(field.laplacian(x, y)))
+        assert math.isfinite(field.exp_integral(2))
+        assert math.isfinite(field.laplacian_integral())
 
 
 # ---------------------------------------------------------------------------

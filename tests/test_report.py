@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from conformal_lab import families
+from conformal_lab import families, spectral
 from conformal_lab.conformal import base_metric
 from conformal_lab.errors import UsageError
 from conformal_lab.report import (
@@ -188,6 +188,33 @@ def test_sandwich_reads_the_spectrum_of_its_own_mesh(surface, mesh3):
     assert {e.name for e in report.entries if e.failed} == {
         "mesh_sigma_area", "gauss_bonnet_total_curvature",
     }
+
+
+ONE_PER_FAMILY = [
+    {"family": "shrinker", "eps": 0.2, "delta": 0.1},
+    {"family": "stretcher", "eps": 0.2, "delta": 0.05},
+    {"family": "dumbbell", "eps": 0.2, "delta": 0.1},
+    {"family": "nonpositive_radial", "amplitude": 0.5},
+]
+
+
+def test_each_member_is_assembled_once(surface, mesh3, monkeypatch):
+    """Every spectral check of a member reads the one assembled system."""
+    assembled = []
+    assemble = spectral.assemble
+
+    def counting_assemble(metric, mesh):
+        if metric.family != "base":  # the cached base spectrum is not a member
+            assembled.append(metric.family)
+        return assemble(metric, mesh)
+
+    monkeypatch.setattr(spectral, "assemble", counting_assemble)
+    sweep(surface, mesh3, ONE_PER_FAMILY)
+    assert assembled == [entry["family"] for entry in ONE_PER_FAMILY]
+    for entry in ONE_PER_FAMILY:
+        assembled.clear()
+        verify_metric(families.make(surface, **entry), mesh3)
+        assert assembled == [entry["family"]]
 
 
 def test_verify_guards(surface, mesh3):

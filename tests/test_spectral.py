@@ -68,7 +68,7 @@ def test_base_spectrum_level3(surface, mesh3):
 
 def test_base_spectrum_level4_uses_sparse_path(surface, mesh4):
     res = base_spectrum(surface, mesh4, 3)
-    assert res.dimension == 1022
+    assert res.mesh.n_rep == 1022
     assert res.eigenvalues[0] == pytest.approx(0.0, abs=1e-8)
     assert res.eigenvalues[1] == pytest.approx(3.828939995, rel=1e-6)
     assert res.residuals.max() < 1e-8
@@ -87,9 +87,9 @@ def test_shift_invert_factor_solves_shifted_system(surface, mesh4, params):
     metric = base_metric(surface) if params is None else families.make(surface, **params)
     system = assemble(metric, mesh4)
     shifted = system.stiffness - SHIFT * sp.diags(system.mass)
-    x_true = np.random.default_rng(1).standard_normal(system.dimension)
+    x_true = np.random.default_rng(1).standard_normal(mesh4.n_rep)
     b = shifted @ x_true
-    x = _shift_invert(system) @ b
+    x = _shift_invert(system)(b)
     assert np.linalg.norm(shifted @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -162,8 +162,10 @@ def test_eigenvalues_repeat_bit_for_bit_level5(surface):
 
 
 def test_sandwich_holds_for_collapsed_dumbbell_level4(surface, mesh4):
-    metric = families.make(surface, **COLLAPSED_DUMBBELL)
-    res = conformal_eigen_sandwich(metric, mesh4, base_spectrum(surface, mesh4, 10), 10)
+    system = assemble(families.make(surface, **COLLAPSED_DUMBBELL), mesh4)
+    res = conformal_eigen_sandwich(
+        system, base_spectrum(surface, mesh4, 10), eigenvalues(system, 10)
+    )
     assert res.violations == 0
     assert res.worst_margin >= 0.0
 
@@ -203,10 +205,9 @@ def test_assemble_rejects_non_quotient_field(surface, mesh3):
     ],
 )
 def test_sandwich_holds_for_extreme_members(surface, mesh3, family, params):
-    metric = families.make(surface, family, **params)
+    system = assemble(families.make(surface, family, **params), mesh3)
     base_res = base_spectrum(surface, mesh3, 10)
-    res = conformal_eigen_sandwich(metric, mesh3, base_res, 10)
-    assert res.holds
+    res = conformal_eigen_sandwich(system, base_res, eigenvalues(system, 10))
     assert res.violations == 0
     assert res.worst_margin >= 0.0
     assert np.all(res.lower <= res.upper)
@@ -217,14 +218,14 @@ def test_sandwich_bounds_ignore_sign_of_zero_eigenvalue_roundoff(surface, mesh3)
     # +-1e-14 depending on the BLAS.  Both signs must give the same bounds.
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
     base_res = base_spectrum(surface, mesh3, 10)
-    deformed = eigenvalues(assemble(metric, mesh3), 10)
+    system = assemble(metric, mesh3)
+    deformed = eigenvalues(system, 10)
     results = []
     for lam0 in (1e-14, -1e-14):
         vals = base_res.eigenvalues.copy()
         vals[0] = lam0
         res = conformal_eigen_sandwich(
-            metric, mesh3, dataclasses.replace(base_res, eigenvalues=vals), 10,
-            deformed_result=deformed,
+            system, dataclasses.replace(base_res, eigenvalues=vals), deformed
         )
         assert np.all(res.lower <= res.upper)
         results.append(res)
@@ -236,28 +237,30 @@ def test_sandwich_bounds_ignore_sign_of_zero_eigenvalue_roundoff(surface, mesh3)
 def test_sandwich_level_mismatch_rejected(surface, mesh3, mesh4):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
     base_res = base_spectrum(surface, mesh3, 5)
+    system = assemble(metric, mesh4)
     with pytest.raises(UsageError):
-        conformal_eigen_sandwich(metric, mesh4, base_res, 5)
+        conformal_eigen_sandwich(system, base_res, eigenvalues(system, 5))
 
 
 def test_sandwich_rejects_spectra_of_another_mesh(surface, mesh3):
     # same level as mesh3, half the areas: its spectrum is twice mesh3's
     halved = dataclasses.replace(mesh3, tri_area_sigma=0.5 * mesh3.tri_area_sigma)
     metric = base_metric(surface)
+    system = assemble(metric, halved)
     with pytest.raises(UsageError, match="base spectrum computed on another mesh"):
-        conformal_eigen_sandwich(metric, halved, base_spectrum(surface, mesh3, 10), 10)
+        conformal_eigen_sandwich(
+            system, base_spectrum(surface, mesh3, 10), eigenvalues(system, 10)
+        )
     deformed = eigenvalues(assemble(metric, mesh3), 10)
     with pytest.raises(UsageError, match="deformed spectrum computed on another mesh"):
-        conformal_eigen_sandwich(
-            metric, halved, base_spectrum(surface, halved, 10), 10,
-            deformed_result=deformed,
-        )
+        conformal_eigen_sandwich(system, base_spectrum(surface, halved, 10), deformed)
 
 
 def test_dumbbell_bound_controls_lambda1(surface, mesh3):
     metric = families.make(surface, "dumbbell", eps=0.2, delta=0.1)
-    bound = dumbbell_test_bound(metric, mesh3)
-    lam1 = eigenvalues(assemble(metric, mesh3), 1).eigenvalues[1]
+    system = assemble(metric, mesh3)
+    bound = dumbbell_test_bound(metric, system)
+    lam1 = eigenvalues(system, 1).eigenvalues[1]
     assert lam1 <= bound.total + 1e-8
     # Symmetric anchors give identical Rayleigh quotients.
     assert bound.rayleigh_1 == pytest.approx(bound.rayleigh_2, rel=1e-6)
@@ -267,7 +270,7 @@ def test_dumbbell_bound_decreases_with_delta(surface, mesh3):
     totals = []
     for delta in (0.2, 0.1, 0.05, 0.01):
         metric = families.make(surface, "dumbbell", eps=0.2, delta=delta)
-        totals.append(dumbbell_test_bound(metric, mesh3).total)
+        totals.append(dumbbell_test_bound(metric, assemble(metric, mesh3)).total)
     assert all(b < a for a, b in zip(totals, totals[1:]))
     assert totals[-1] < 1e-80  # the neck strangles the coupling completely
 
@@ -275,7 +278,7 @@ def test_dumbbell_bound_decreases_with_delta(surface, mesh3):
 def test_dumbbell_ramp_energy_below_analytic_cap(surface, mesh3):
     for delta in (0.2, 0.1, 0.05):
         metric = families.make(surface, "dumbbell", eps=0.2, delta=delta)
-        bound = dumbbell_test_bound(metric, mesh3)
+        bound = dumbbell_test_bound(metric, assemble(metric, mesh3))
         assert bound.ramp_energy_pair <= bound.analytic_bound
         assert bound.analytic_bound == pytest.approx(
             4.0 * math.pi / (4.0 * bound.delta_R**2), rel=1e-9
@@ -283,5 +286,6 @@ def test_dumbbell_ramp_energy_below_analytic_cap(surface, mesh3):
 
 
 def test_dumbbell_bound_rejects_other_families(surface, mesh3):
+    metric = base_metric(surface)
     with pytest.raises(ParameterError):
-        dumbbell_test_bound(base_metric(surface), mesh3)
+        dumbbell_test_bound(metric, assemble(metric, mesh3))
