@@ -162,10 +162,6 @@ def _load_metric(path, surface):
 def _cmd_spectrum(args) -> int:
     surface = HyperbolicSurface()
     metric = _load_metric(args.metric, surface)
-    if not isinstance(metric, conformal.ConformalMetric):
-        raise UsageError(
-            f"family '{metric.family}' has no assembled spectrum"
-        )
     mesh = build_mesh(surface.domain, args.level)
     result = spectral.eigenvalues(spectral.assemble(metric, mesh), args.k)
     _write_or_print(result.to_csv(), args.out)
@@ -185,10 +181,7 @@ def _cmd_verify(args) -> int:
     config = {}
     if args.k is not None:
         config["k"] = args.k
-    mesh = None
-    if getattr(metric, "family", None) != "cylinder":
-        mesh = build_mesh(surface.domain, args.level)
-    rep = report.verify_metric(metric, mesh, config)
+    rep = report.verify_metric(metric, build_mesh(surface.domain, args.level), config)
     if args.report is not None:
         _write_text(rep.to_json(), args.report)
     counts = {}

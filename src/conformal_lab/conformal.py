@@ -320,19 +320,15 @@ def gauss_bonnet(metric, mesh, method="chart") -> GaussBonnetResult:
 
 
 def to_descriptor(metric) -> dict:
-    doc = {
+    return {
         "version": 1,
         "family": metric.family,
         "params": dict(metric.params),
+        "C": metric.C,
+        "area": metric.area,
+        "min_u": metric.u_min,
+        "max_u": metric.u_max,
     }
-    if isinstance(metric, ConformalMetric):
-        doc.update(
-            C=metric.C,
-            area=metric.area,
-            min_u=metric.u_min,
-            max_u=metric.u_max,
-        )
-    return doc
 
 
 def from_descriptor(doc, surface=None):

@@ -1,13 +1,13 @@
 """Explicit deformation families: collar shrinker, spike stretcher,
-double-spike dumbbell, an always-nonpositively-curved radial family, and
-a standalone warped-product cylinder profile.
+double-spike dumbbell and an always-nonpositively-curved radial family.
+Every member is a ConformalMetric e^{2u} sigma in sigma's conformal class.
 
-Each conformal family is one ScalarField: values, closed-form Laplacian,
+Each family is one ScalarField: values, closed-form Laplacian,
 extrema and the two chart quadratures.  The stretcher and the dumbbell
 share one: SpikeField puts the same power spike (_PowerSpike) at each of
 its anchors, one for the stretcher and two for the dumbbell.
 
-All conformal families are built from one C-infinity plateau bump
+All families are built from one C-infinity plateau bump
 
     bump(t; a) = q(s1) / (q(s1) + q(s2)),   q(s) = exp(-1/s) for s > 0,
 
@@ -627,157 +627,16 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 
 
 # ---------------------------------------------------------------------------
-# warped-product cylinder profile (not conformal to sigma)
-
-# cosh r overflows double precision past r ~ 710.5, so the profile and its
-# quadratures need the match radius below that (the convex interpolation
-# is infeasible long before)
-CYLINDER_MAX_MATCH_RADIUS = 700.0
-
-
-class CylinderMetric:
-    """Rotationally symmetric metric dr^2 + f(r)^2 dtheta^2 on a cylinder.
-
-    f is even and convex with f(0) = neck and f(r) = a cosh(r) beyond the
-    match radius, so the curvature -f''/f is nonpositive everywhere, -1
-    in the matched zone, and nearly 0 on the central plateau.
-    """
-
-    family = "cylinder"
-
-    def __init__(self, a, neck, match_radius, grid_r, f2_table, f_table,
-                 plateau_width, params):
-        self.a = a
-        self.neck = neck
-        self.match_radius = match_radius
-        self.grid_r = grid_r
-        self._f2 = f2_table
-        self._f = f_table
-        self.plateau_width = plateau_width
-        self.params = params
-
-    def _split(self, r):
-        r = np.abs(np.asarray(r, dtype=float))
-        return r, r > self.match_radius
-
-    def profile(self, r):
-        r, outside = self._split(r)
-        vals = np.interp(r, self.grid_r, self._f)
-        vals = np.where(outside, self.a * np.cosh(r), vals)
-        return vals if vals.ndim else float(vals)
-
-    def profile_convexity(self, r):
-        r, outside = self._split(r)
-        vals = np.interp(r, self.grid_r, self._f2)
-        vals = np.where(outside, self.a * np.cosh(r), vals)
-        return vals if vals.ndim else float(vals)
-
-    def curvature(self, r):
-        """Gauss curvature -f''(r)/f(r); exactly -1 where f = a cosh r."""
-        r, outside = self._split(r)
-        vals = -np.interp(r, self.grid_r, self._f2) / np.interp(r, self.grid_r, self._f)
-        vals = np.where(outside, -1.0, vals)
-        return vals if vals.ndim else float(vals)
-
-
-def cylinder_profile(a, target_neck, match_radius) -> CylinderMetric:
-    """Convex even profile interpolating a flat-ish neck into a cosh r.
-
-    f'' is a sum of three nonnegative bumps: a tiny plateau bump at the
-    center (keeps f strictly convex without bending the neck), a free
-    bump whose amplitude and position absorb the slope and value matching
-    conditions at the match radius, and a smoothly switched-on a cosh r.
-    Both matching conditions are linear in the unknowns because the free
-    bump is symmetric about its center.
-    """
-    if a <= 0.0:
-        raise ParameterError(f"profile scale a must be positive, got {a}")
-    if match_radius <= 0.0:
-        raise ParameterError(f"match radius must be positive, got {match_radius}")
-    if match_radius > CYLINDER_MAX_MATCH_RADIUS:
-        raise ParameterError(
-            f"match radius {match_radius} above {CYLINDER_MAX_MATCH_RADIUS}: "
-            "cosh would overflow double precision"
-        )
-    if not 0.0 < target_neck < a:
-        raise ParameterError(
-            f"need 0 < target_neck < a = {a}, got {target_neck}"
-        )
-    m = match_radius
-    n_grid = 32769
-    t = np.linspace(0.0, m, n_grid)
-
-    b0, _, _ = bump_jet(t, 0.45 * m)
-    b2 = 1.0 - bump_jet(t, m)[0]
-    eta = 1e-3 * target_neck  # keeps |K| <= 1e-3 on the plateau for any neck
-
-    slope_target = a * math.sinh(m)
-    value_target = a * math.cosh(m) - target_neck
-
-    i0 = _simpson(b0, t)
-    i2 = _simpson(np.cosh(t) * b2, t)
-    j0 = _simpson((m - t) * b0, t)
-    j2 = _simpson((m - t) * np.cosh(t) * b2, t)
-
-    # The free bump is even about its center w, so its slope contribution
-    # is M * i1 and its value contribution exactly (m - w) * M * i1: the
-    # equations are linear and w does not depend on the bump width at all.
-    bump_slope = slope_target - eta * i0 - a * i2
-    if bump_slope <= 0.0:
-        raise ParameterError(
-            "infeasible convex interpolation: matching slope needs a negative bump"
-        )
-    w = m - (value_target - eta * j0 - a * j2) / bump_slope
-    margin = 0.01 * m
-    if not (margin <= w <= m - margin):
-        raise ParameterError(
-            f"infeasible convex interpolation: free bump lands at {w:.4f}, "
-            f"outside [{margin:.4f}, {m - margin:.4f}]"
-        )
-    width1 = min(0.18 * m, 0.95 * (m - w), 0.9 * w)
-    unit = _simpson_linear(lambda s: bump_jet(np.abs(s), 1.0)[0], -1.0, 1.0, n=4097)
-    i1 = width1 * unit
-    M = bump_slope / i1
-
-    b1 = bump_jet(np.abs(t - w), width1)[0]
-    f2 = eta * b0 + M * b1 + a * np.cosh(t) * b2
-    f1 = _cumulative_trapezoid(f2, t)
-    f = target_neck + _cumulative_trapezoid(f1, t)
-
-    if abs(f[-1] - a * math.cosh(m)) > 1e-6 or abs(f1[-1] - a * math.sinh(m)) > 1e-6:
-        raise ConstructionError(
-            f"profile integration mismatch at match radius: f error "
-            f"{f[-1] - a * math.cosh(m):.2e}, slope error "
-            f"{f1[-1] - a * math.sinh(m):.2e}"
-        )
-    return CylinderMetric(
-        a=a,
-        neck=target_neck,
-        match_radius=m,
-        grid_r=t,
-        f2_table=f2,
-        f_table=f,
-        plateau_width=w - width1,
-        params={"a": a, "neck": target_neck, "match_radius": m},
-    )
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
 class Family(NamedTuple):
     """How one family is built and which parameters it takes."""
 
-    build: Callable        # build(surface, **params[, C]) -> metric
+    build: Callable        # build(surface, **params[, C]) -> ConformalMetric
     required: tuple        # parameter names without a default
     optional: dict         # parameter name -> default
     stores_C: bool = True  # descriptors carry the normalization constant
-
-
-def _cylinder(surface, a, neck, match_radius):
-    a = surface.systole / TWO_PI if a is None else a
-    return cylinder_profile(a, 0.5 * a if neck is None else neck, match_radius)
 
 
 FAMILIES = {
@@ -787,12 +646,6 @@ FAMILIES = {
     "dumbbell": Family(dumbbell, ("eps", "delta"), {"p": None, "q": None}),
     "nonpositive_radial": Family(
         nonpositive_radial, ("amplitude",), {"center": 0j}
-    ),
-    "cylinder": Family(
-        _cylinder,
-        (),
-        {"a": None, "neck": None, "match_radius": 2.5},
-        stores_C=False,
     ),
 }
 

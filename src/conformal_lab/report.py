@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import conformal, entropy, families, geom, spectral
 from .errors import LabError, UsageError
 from .surface import base_spectrum
@@ -98,7 +96,7 @@ class CheckEntry:
 class BoundsReport:
     entries: list
     metadata: dict
-    entropy_bounds: dict = None
+    entropy_bounds: dict
 
     @property
     def passed(self) -> bool:
@@ -111,15 +109,13 @@ class BoundsReport:
         raise UsageError(f"report has no entry named '{name}'")
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "version": 1,
             "metadata": self.metadata,
             "entries": [e.to_dict() for e in self.entries],
             "passed": self.passed,
+            "entropy": self.entropy_bounds,
         }
-        if self.entropy_bounds is not None:
-            doc["entropy"] = self.entropy_bounds
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -198,58 +194,9 @@ def _merged_config(config, keys):
         elif not isinstance(value, int) or isinstance(value, bool):
             raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
         elif value < 1:
-            raise UsageError(
-                f"config key {key!r} must be at least 1, got {value!r}: "
-                f"the run needs {key} >= 1, got {value!r}"
-            )
+            raise UsageError(f"config key {key!r} must be at least 1, got {value!r}")
         cfg[key] = value
     return cfg
-
-
-def _cylinder_entries(metric):
-    """Invariants of the rotationally symmetric neck profile."""
-    r = metric.grid_r
-    f2 = metric.profile_convexity(r)
-    curv = metric.curvature(r)
-    plateau = r <= metric.plateau_width
-    entries = [
-        _check(
-            "cylinder_neck_value", metric.profile(0.0), metric.neck, "==",
-            0.0, EXACT_ABS_GUARD, True, "families.CylinderMetric.profile",
-        ),
-        _check(
-            "cylinder_convexity", float(np.min(f2)), 0.0, ">=",
-            0.0, 0.0, True, "families.cylinder_profile",
-            detail="profile assembled from nonnegative convexity bumps",
-        ),
-        _check(
-            "cylinder_curvature_negative", float(np.max(curv)), 0.0, "<=",
-            0.0, 0.0, True, "families.CylinderMetric.curvature",
-        ),
-        _check(
-            "cylinder_plateau_flat",
-            float(np.max(np.abs(curv[plateau]))), 0.1, "<=",
-            0.0, 0.0, True, "families.CylinderMetric.curvature",
-            detail="design keeps the plateau well below the cap",
-        ),
-        _check(
-            "cylinder_matched_zone",
-            float(np.max(np.abs(
-                metric.curvature(metric.match_radius + np.linspace(0.0, 2.0, 257))
-                + 1.0
-            ))),
-            1e-6, "<=", 0.0, 0.0, True,
-            "families.CylinderMetric.curvature",
-            detail="curvature is the exact closed form beyond the match radius",
-        ),
-        _check(
-            "cylinder_seam_value",
-            metric.profile(metric.match_radius),
-            metric.a * math.cosh(metric.match_radius), "==",
-            SLACK_QUAD, 0.0, True, "families.cylinder_profile",
-        ),
-    ]
-    return entries
 
 
 def _conformal_entries(metric, mesh, cfg):
@@ -394,32 +341,25 @@ def _conformal_entries(metric, mesh, cfg):
     return entries, bounds
 
 
-def verify_metric(metric, mesh=None, config=None) -> BoundsReport:
+def verify_metric(metric, mesh, config=None) -> BoundsReport:
     """Run every applicable bound check and collect a structured report."""
     cfg = _merged_config(config, VERIFY_CONFIG_KEYS)
     family = getattr(metric, "family", None)
     if family is None:
         raise UsageError(f"object {metric!r} is not a family metric")
-    entropy_doc = None
-    if family == "cylinder":
-        entries = _cylinder_entries(metric)
-        level = None
-    else:
-        if mesh is None:
-            raise UsageError("conformal verification needs a mesh")
-        entries, bounds = _conformal_entries(metric, mesh, cfg)
-        entropy_doc = bounds.to_dict()
-        level = mesh.level
+    if mesh is None:
+        raise UsageError("conformal verification needs a mesh")
+    entries, bounds = _conformal_entries(metric, mesh, cfg)
     metadata = {
         "family": family,
         "params": dict(metric.params),
-        "level": level,
+        "level": mesh.level,
         "k": cfg["k"],
         "timestamp": datetime.now(timezone.utc).isoformat()
         if cfg["embed_timestamp"] else None,
     }
     return BoundsReport(entries=entries, metadata=metadata,
-                        entropy_bounds=entropy_doc)
+                        entropy_bounds=bounds.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +439,6 @@ def sweep(surface, mesh, grid=None, config=None) -> SweepTable:
                     "normalization constant is solved, not given"
                 )
             metric = families.make(surface, fam, **params)
-            if not isinstance(metric, conformal.ConformalMetric):
-                raise UsageError(
-                    f"family '{fam}' has no conformal sweep columns"
-                )
             system = spectral.assemble(metric, mesh)
             result = spectral.eigenvalues(system, 1)
             row["area"] = metric.area

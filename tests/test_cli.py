@@ -106,8 +106,7 @@ def test_metric_make_has_one_flag_per_real_family_parameter():
         assert flags == [["--" + name.replace("_", "-")]]
     flags = {s for a in make._actions for s in a.option_strings}
     assert flags == {
-        "-h", "--help", "--family", "--out", "--eps", "--delta",
-        "--amplitude", "--a", "--neck", "--match-radius",
+        "-h", "--help", "--family", "--out", "--eps", "--delta", "--amplitude",
     }
 
 
@@ -134,13 +133,6 @@ def test_spectrum_writes_csv(tmp_path):
     assert lines[1].startswith("0, ")
 
 
-def test_spectrum_rejects_cylinder(tmp_path, capsys):
-    desc = tmp_path / "cyl.json"
-    assert main(["metric", "make", "--family", "cylinder", "--out", str(desc)]) == 0
-    assert main(["spectrum", "--metric", str(desc), "--k", "2"]) == 2
-    assert "no assembled spectrum" in capsys.readouterr().err
-
-
 def test_spectrum_missing_descriptor_exit_two(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     assert main(["spectrum", "--metric", str(missing), "--k", "1"]) == 2
@@ -164,13 +156,6 @@ def test_verify_base_passes(tmp_path, capsys):
     }
 
 
-def test_verify_cylinder_needs_no_mesh(tmp_path, capsys):
-    desc = tmp_path / "cyl.json"
-    assert main(["metric", "make", "--family", "cylinder", "--out", str(desc)]) == 0
-    assert main(["verify", "--metric", str(desc)]) == 0
-    assert "report PASS" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("drop", ["delta", "C"])
 def test_verify_incomplete_descriptor_exit_two(tmp_path, capsys, drop):
     desc = tmp_path / "shrinker.json"
@@ -188,23 +173,45 @@ def test_verify_incomplete_descriptor_exit_two(tmp_path, capsys, drop):
 
 def test_verify_k_below_one_exit_two(tmp_path, capsys):
     desc = tmp_path / "dumbbell.json"
+    rep = tmp_path / "report.json"
     assert main([
         "metric", "make", "--family", "dumbbell", "--eps", "0.2",
         "--delta", "0.1", "--out", str(desc),
     ]) == 0
-    assert main(["verify", "--metric", str(desc), "--level", "2", "--k", "0"]) == 2
-    assert "needs k >= 1, got 0" in capsys.readouterr().err
-
-
-def test_verify_k_below_one_exit_two_for_cylinder(tmp_path, capsys):
-    desc = tmp_path / "cyl.json"
-    rep = tmp_path / "report.json"
-    assert main(["metric", "make", "--family", "cylinder", "--out", str(desc)]) == 0
     assert main([
-        "verify", "--metric", str(desc), "--k", "0", "--report", str(rep),
+        "verify", "--metric", str(desc), "--level", "2", "--k", "0",
+        "--report", str(rep),
     ]) == 2
-    assert "needs k >= 1, got 0" in capsys.readouterr().err
+    assert "config key 'k' must be at least 1, got 0\n" in capsys.readouterr().err
     assert not rep.exists()
+
+
+#: a descriptor saved by a release that still had the cylinder family
+STALE_CYLINDER = {
+    "version": 1, "family": "cylinder",
+    "params": {"a": 0.3, "neck": 0.15, "match_radius": 2.5},
+}
+
+
+def test_verify_rejects_cylinder(tmp_path, capsys):
+    desc = tmp_path / "cyl.json"
+    desc.write_text(json.dumps(STALE_CYLINDER))
+    assert main(["verify", "--metric", str(desc)]) == 2
+    assert "unknown family 'cylinder'" in capsys.readouterr().err
+
+
+def test_spectrum_rejects_cylinder(tmp_path, capsys):
+    desc = tmp_path / "cyl.json"
+    desc.write_text(json.dumps(STALE_CYLINDER))
+    assert main(["spectrum", "--metric", str(desc), "--k", "2"]) == 2
+    assert "unknown family 'cylinder'" in capsys.readouterr().err
+
+
+def test_metric_make_cylinder_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["metric", "make", "--family", "cylinder"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cylinder'" in capsys.readouterr().err
 
 
 def test_disconnected_mesh_exit_three(surface, disconnected_mesh3, monkeypatch, capsys):
@@ -256,10 +263,21 @@ def test_sweep_error_rows_exit_one(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "version": 1,
         "level": 2,
-        "grid": [{"family": "cylinder"}],
+        "grid": [{"family": "stretcher", "eps": 0.2, "delta": 0.004}],
     }))
     assert main(["sweep", "--config", str(cfg)]) == 1
-    assert "ERROR cylinder" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "ERROR stretcher eps=0.2 delta=0.004" in out
+    assert ": ParameterError: delta 0.004 below 0.005" in out
+
+
+def test_sweep_stale_cylinder_entry_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"version": 1, "level": 2, "grid": [{"family": "cylinder"}]}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "ERROR cylinder" in out
+    assert ": ParameterError: unknown family 'cylinder'" in out
 
 
 def test_sweep_config_version_required(tmp_path, capsys):
@@ -358,13 +376,6 @@ def test_unwritable_output_fails_before_the_work(tmp_path, monkeypatch, capsys,
     argv = [a.format(config=config, base=base, path=path) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
-
-
-@pytest.mark.parametrize("radius", ["711", "1e6"])
-def test_cylinder_match_radius_overflow_exit_two(capsys, radius):
-    code = main(["metric", "make", "--family", "cylinder", "--match-radius", radius])
-    assert code == 2
-    assert "cosh would overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("volume, rho", [

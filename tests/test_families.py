@@ -19,7 +19,6 @@ from conformal_lab.families import (
     _cumulative_trapezoid,
     _simpson,
     bump_jet,
-    cylinder_profile,
     default_dumbbell_anchors,
     dumbbell,
     systole_shrinker,
@@ -370,7 +369,7 @@ CONTRACT_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("family", [f for f in FAMILY_NAMES if f != "cylinder"])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_field_chart_rules_return_finite_floats(surface, family):
     field = families.make(surface, family, **CONTRACT_PARAMS[family]).field
     for value in (field.exp_integral(1), field.exp_integral(2), field.laplacian_integral()):
@@ -378,7 +377,7 @@ def test_field_chart_rules_return_finite_floats(surface, family):
         assert math.isfinite(value)
 
 
-@pytest.mark.parametrize("family", [f for f in FAMILY_NAMES if f != "cylinder"])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
 def test_u_at_rejects_points_off_the_open_disk(surface, family):
     metric = families.make(surface, family, **CONTRACT_PARAMS[family])
     for x, y in [(0.9, 0.9), (1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.nan)]:
@@ -435,67 +434,6 @@ def test_radial_amplitude_guards(surface):
 
 
 # ---------------------------------------------------------------------------
-# cylinder profile
-
-
-def test_cylinder_neck_value_exact():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    assert metric.profile(0.0) == 0.5
-    assert metric.neck == 0.5
-
-
-def test_cylinder_profile_is_convex_everywhere():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    r = np.linspace(0.0, 4.0, 4001)
-    assert metric.profile_convexity(r).min() > 0.0
-
-
-def test_cylinder_curvature_nonpositive_and_matched():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    r = np.linspace(0.0, 5.0, 5001)
-    K = metric.curvature(r)
-    assert K.max() <= 0.0
-    # Central plateau: nearly flat.
-    plateau = np.linspace(0.0, metric.plateau_width, 257)
-    assert np.max(np.abs(metric.curvature(plateau))) <= 0.1
-    # Matched zone: exactly a cosh r, K = -1 within quadrature error.
-    outer = np.linspace(2.5, 4.5, 257)
-    assert np.max(np.abs(metric.curvature(outer) + 1.0)) <= 1e-6
-
-
-def test_cylinder_seam_is_continuous():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    m = metric.match_radius
-    assert metric.profile(m - 1e-9) == pytest.approx(1.0 * math.cosh(m), rel=1e-6)
-
-
-def test_cylinder_profile_is_even():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    r = np.linspace(0.0, 3.0, 31)
-    assert np.allclose(metric.profile(-r), metric.profile(r), atol=0.0)
-
-
-def test_cylinder_curvature_matches_finite_differences():
-    metric = cylinder_profile(1.0, 0.5, 2.5)
-    h = 4e-3
-    for r0 in (0.9, 1.4, 2.0):
-        f0 = metric.profile(r0)
-        fpp = (metric.profile(r0 + h) - 2.0 * f0 + metric.profile(r0 - h)) / (h * h)
-        assert metric.curvature(r0) == pytest.approx(-fpp / f0, abs=5e-3)
-
-
-def test_cylinder_parameter_guards():
-    with pytest.raises(ParameterError):
-        cylinder_profile(0.0, 0.5, 2.5)
-    with pytest.raises(ParameterError):
-        cylinder_profile(1.0, 1.5, 2.5)  # neck must sit below a
-    with pytest.raises(ParameterError):
-        cylinder_profile(1.0, 0.0, 2.5)
-    with pytest.raises(ParameterError):
-        cylinder_profile(1.0, 0.5, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
@@ -511,7 +449,6 @@ def test_family_names_registry():
         "stretcher",
         "dumbbell",
         "nonpositive_radial",
-        "cylinder",
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import importlib.util
 import os
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import conformal_lab
+from conformal_lab import cli, families
 from conformal_lab.spectral import SpectralResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,3 +90,25 @@ def test_cli_runs_load_no_unused_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _subparser(parser, name):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[name]
+
+
+def test_readme_family_table_matches_code():
+    """The README's family table names every family, in table order, and
+    lists exactly the `metric make` flags of the real family parameters."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Deformation families\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)` ", section, flags=re.M)
+    assert tuple(names) == families.FAMILY_NAMES
+    make = _subparser(_subparser(cli.build_parser(), "metric"), "make")
+    param_flags = [
+        flag
+        for action in make._actions
+        if action.dest not in ("help", "family", "out")
+        for flag in action.option_strings
+    ]
+    assert re.findall(r"`(--[a-z-]+)`", section) == param_flags

@@ -105,23 +105,6 @@ def test_dumbbell_report_bound_entries(surface, mesh3):
     assert report.entry("radial_spike_length").status == "pass"
 
 
-def test_cylinder_report_needs_no_mesh(surface):
-    metric = families.make(surface, "cylinder")
-    report = verify_metric(metric)
-    assert report.passed
-    names = [e.name for e in report.entries]
-    assert names == [
-        "cylinder_neck_value",
-        "cylinder_convexity",
-        "cylinder_curvature_negative",
-        "cylinder_plateau_flat",
-        "cylinder_matched_zone",
-        "cylinder_seam_value",
-    ]
-    assert report.metadata["level"] is None
-    assert report.entropy_bounds is None
-
-
 def test_report_json_is_deterministic(surface, mesh3):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
     first = verify_metric(metric, mesh3).to_json()
@@ -221,7 +204,7 @@ def test_verify_guards(surface, mesh3):
     with pytest.raises(UsageError):
         verify_metric(object(), mesh3)
     with pytest.raises(UsageError):
-        verify_metric(base_metric(surface))
+        verify_metric(base_metric(surface), None)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +274,16 @@ def test_sweep_guards(surface, mesh3):
 
 
 def test_sweep_cylinder_rows_record_error(surface, mesh3):
-    table = sweep(surface, mesh3, grid=[{"family": "cylinder"}])
-    row = table.rows[0]
-    assert row["error"].startswith("UsageError")
-    assert row["area"] == ""
+    """A stale cylinder entry names an unknown family; an infeasible
+    stretcher fails its own guard.  Both become error rows."""
+    grid = [
+        {"family": "cylinder"},
+        {"family": "stretcher", "eps": 0.2, "delta": 0.5 * families.MIN_SPIKE_DELTA},
+    ]
+    stale, infeasible = sweep(surface, mesh3, grid=grid).rows
+    assert stale["error"].startswith("ParameterError: unknown family 'cylinder'")
+    assert infeasible["error"].startswith("ParameterError: delta 0.0025 below")
+    assert stale["area"] == infeasible["area"] == ""
 
 
 def test_sweep_missing_parameter_records_row_error(surface, mesh3):
