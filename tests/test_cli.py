@@ -200,6 +200,19 @@ def test_verify_rejects_cylinder(tmp_path, capsys):
     assert "unknown family 'cylinder'" in capsys.readouterr().err
 
 
+def test_verify_k_below_one_exit_two_for_cylinder(tmp_path, capsys):
+    # A stale cylinder descriptor and a bad k are both usage errors: the
+    # family is checked first, and neither writes a report.
+    desc = tmp_path / "cyl.json"
+    rep = tmp_path / "report.json"
+    desc.write_text(json.dumps(STALE_CYLINDER))
+    assert main([
+        "verify", "--metric", str(desc), "--k", "0", "--report", str(rep),
+    ]) == 2
+    assert "unknown family 'cylinder'" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_spectrum_rejects_cylinder(tmp_path, capsys):
     desc = tmp_path / "cyl.json"
     desc.write_text(json.dumps(STALE_CYLINDER))
