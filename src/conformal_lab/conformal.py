@@ -126,11 +126,17 @@ class ConformalMetric:
 
 
 AREA_MATCH_TOL = 1e-8
+NORMALIZE_TOL = 1e-10     # bisection stops once the bracket is this narrow
+NORMALIZE_MAX_ITER = 200  # or, failing that, after this many steps
 
 
 def make_metric(surface, field, family, params, C):
     """Package a normalized field, checking the area invariant."""
-    area = field.exp_integral(2)
+    try:
+        with np.errstate(over="raise"):
+            area = field.exp_integral(2)
+    except (OverflowError, FloatingPointError):  # an overflowing area misses too
+        area = math.inf
     if abs(area - surface.total_area) > AREA_MATCH_TOL * max(1.0, surface.total_area):
         raise NormalizationError(
             f"family '{family}': area {area!r} misses target "
@@ -154,7 +160,7 @@ def base_metric(surface: HyperbolicSurface) -> ConformalMetric:
     return make_metric(surface, field, "base", {}, 0.0)
 
 
-def normalize_area(area_of_C, target, lo, hi, *, tol=1e-10, max_iter=200):
+def normalize_area(area_of_C, target, lo, hi):
     """Solve area(C) = target for the normalization constant by bisection.
 
     area_of_C must be continuous and increasing on [lo, hi], and the bracket
@@ -174,7 +180,7 @@ def normalize_area(area_of_C, target, lo, hi, *, tol=1e-10, max_iter=200):
         return lo
     if f_hi == 0.0:
         return hi
-    for _ in range(max_iter):
+    for _ in range(NORMALIZE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = area_of_C(mid) - target
         if f_mid == 0.0:
@@ -183,10 +189,10 @@ def normalize_area(area_of_C, target, lo, hi, *, tol=1e-10, max_iter=200):
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < NORMALIZE_TOL:
             return 0.5 * (lo + hi)
     raise NormalizationError(
-        f"bisection stalled after {max_iter} iterations, bracket [{lo}, {hi}]"
+        f"bisection stalled after {NORMALIZE_MAX_ITER} iterations, bracket [{lo}, {hi}]"
     )
 
 

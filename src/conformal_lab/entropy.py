@@ -10,7 +10,7 @@ already provide; no dynamics is simulated.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ParameterError
 
@@ -39,12 +39,7 @@ class EntropyBounds:
     universal_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "katok_factor": self.katok_factor,
-            "h_mu_upper": self.h_mu_upper,
-            "h_top_lower": self.h_top_lower,
-            "universal_gap": self.universal_gap,
-        }
+        return asdict(self)
 
 
 def katok_bounds(metric) -> EntropyBounds:

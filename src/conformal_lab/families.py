@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conformal
-from .errors import ConstructionError, ParameterError, UsageError
+from .errors import ConstructionError, NormalizationError, ParameterError, UsageError
 from .hyp import (
     DiskPoint,
     _as_complex,
@@ -120,7 +120,7 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _simpson_linear(fn, lo, hi, n=1025):
+def _simpson_linear(fn, lo, hi, n):
     x = np.linspace(lo, hi, n)
     return _simpson(fn(x), x)
 
@@ -134,6 +134,14 @@ def _simpson_log(fn, lo, hi, n=2049):
 
 # ---------------------------------------------------------------------------
 # collar shrinker
+
+# The area bisection resolves C only to about 3e-11; below this floor that
+# error outweighs the collar's pull on the conformal average, and the
+# enforced katok_factor_cap fails (at eps 0.2, delta 1e-11 and 1e-12 by
+# 2.5e-11 and 2.9e-11).  From 1e-20 to 1e-80 Gauss-Bonnet totals run from
+# 8.0e5 to -1.3e66; below ~1e-155 bump_jet overflows.  make and verify
+# (levels 3-5, eps = systole, 0.2, 1e-5) pass warning-free down to 7.9e-11.
+MIN_COLLAR_DELTA = 1e-10
 
 
 @functools.lru_cache(maxsize=1)
@@ -208,10 +216,11 @@ def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
         raise ParameterError(
             f"shrinker needs 0 < eps <= systole {sys_length:.6f}, got {eps}"
         )
-    if delta <= 0.0 or delta > surface.collar_half_width:
+    if not MIN_COLLAR_DELTA <= delta <= surface.collar_half_width:
         raise ParameterError(
-            f"collar half-width {delta} outside the embedded range "
-            f"(0, {surface.collar_half_width}]"
+            f"collar half-width {delta} outside [{MIN_COLLAR_DELTA}, "
+            f"{surface.collar_half_width}]: the area solve cannot resolve a "
+            "thinner collar, and a wider one does not embed"
         )
     collar_area = 2.0 * sys_length * math.sinh(delta)
     if collar_area > 0.5 * surface.total_area:
@@ -496,6 +505,9 @@ def _spike_metric(surface, family, anchors, eps, delta, C):
         C = conformal.normalize_area_quadratic(
             lambda c: field(c).exp_integral(2), surface.total_area
         )
+    elif not C > 0.0:
+        # the area is quadratic in C, so a negative root normalizes it too
+        raise UsageError(f"family '{family}': stored C={C!r} is not positive")
     params = {"eps": eps, "delta": delta}
     for key, anchor in zip("pq", anchors):
         params[key] = [anchor.real, anchor.imag]
@@ -712,16 +724,21 @@ def make(surface, /, family, C=None, **params):
     This is the one place family parameters are checked: an unknown family
     is a ParameterError; a missing or unknown key, or a value of the wrong
     type, is a UsageError; a point outside the open unit disk is a
-    DomainError.  A stored normalization constant C skips the area solve.
+    DomainError.  A stored normalization constant C skips the area solve;
+    one that does not normalize the area is a UsageError.
     """
     spec = _family(family)
     _check_names(family, spec, params, complete=False)
     params = {key: _checked(family, key, value) for key, value in params.items()}
-    if C is not None:
-        if not spec.stores_C:
-            raise UsageError(f"family '{family}' takes no constant 'C'")
-        params["C"] = _checked(family, "C", C)
-    return spec.build(surface, **{**spec.optional, **params})
+    if C is None:
+        return spec.build(surface, **{**spec.optional, **params})
+    if not spec.stores_C:
+        raise UsageError(f"family '{family}' takes no constant 'C'")
+    params["C"] = _checked(family, "C", C)
+    try:
+        return spec.build(surface, **{**spec.optional, **params})
+    except NormalizationError as exc:
+        raise UsageError(f"stored C={C!r} does not normalize the area: {exc}") from exc
 
 
 def from_descriptor(doc, surface=None):

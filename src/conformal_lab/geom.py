@@ -32,6 +32,7 @@ TWO_PI = 2.0 * math.pi
 RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
 SAMPLES_PER_EDGE = 8  # default e^u samples per edge of the diameter graph
 CURVE_SAMPLES = 2049  # default samples of the systole curve
+CIRCLE_ANGLES = np.arange(1024) * (TWO_PI / 1024)  # samples of a circle integral
 
 
 @dataclass
@@ -287,10 +288,10 @@ def _check_embedded(metric, center, R, label):
         )
 
 
-def circle_integral_u(metric, center, R, n_theta=1024) -> float:
+def circle_integral_u(metric, center, R) -> float:
     """Integral of u over the sigma-circle of radius R (against dl_sigma)."""
     _check_embedded(metric, center, R, "circle")
-    pts = polar_points(center, R, np.arange(n_theta) * (TWO_PI / n_theta))
+    pts = polar_points(center, R, CIRCLE_ANGLES)
     u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
     return math.sinh(R) * float(np.mean(u)) * TWO_PI
 

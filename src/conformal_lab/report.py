@@ -2,10 +2,14 @@
 
 `verify_metric` runs the full battery for a single metric and returns a
 BoundsReport whose entries record what was compared, with what slack, and
-how much margin was left.  `sweep` runs families over parameter grids and
-tabulates the headline quantities as CSV.  Reports are deterministic:
-rerunning on the same inputs reproduces them byte for byte (timestamps
-are opt-in for that reason).
+how much margin was left.  It states each entry once, in report order.
+An entry whose computation may fail is guarded: a LabError there becomes
+an enforced "error" entry rather than ending the run.  An entry whose
+hypothesis does not hold is "not_applicable" and never fails the report.
+`sweep` runs families over parameter grids and tabulates the headline
+quantities as CSV.  Reports are deterministic: rerunning on the same
+inputs reproduces them byte for byte (timestamps are opt-in for that
+reason).
 
 Slack policy: facts that hold at matrix level get zero slack, facts
 established by quadrature get 1%, facts read off the mesh get 5%.  A
@@ -19,7 +23,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import conformal, entropy, families, geom, spectral
@@ -79,17 +83,7 @@ class CheckEntry:
         return self.enforced and self.status in ("fail", "error")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "margin": self.margin,
-            "status": self.status,
-            "enforced": self.enforced,
-            "refs": self.refs,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,8 +115,8 @@ class BoundsReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _check(name, lhs, rhs, relation, rel_slack, abs_slack, enforced, refs,
-           detail=""):
+def _check(name, refs, lhs, rhs, relation, rel_slack=0.0, abs_slack=0.0,
+           enforced=True, detail=""):
     lhs = float(lhs)
     rhs = float(rhs)
     allowance = rel_slack * max(1.0, abs(rhs)) + abs_slack
@@ -143,33 +137,22 @@ def _check(name, lhs, rhs, relation, rel_slack, abs_slack, enforced, refs,
     )
 
 
-def _error_entry(name, exc, enforced, refs):
+def _uncompared(name, refs, status, enforced, detail):
+    """An entry that compares nothing: a check that errored or does not apply."""
     return CheckEntry(
-        name=name, lhs=math.nan, rhs=math.nan, relation="==",
-        margin=math.nan, status="error", enforced=enforced, refs=refs,
-        detail=f"{type(exc).__name__}: {exc}",
+        name=name, lhs=math.nan, rhs=math.nan, relation="==", margin=math.nan,
+        status=status, enforced=enforced, refs=refs, detail=detail,
     )
 
 
-def _skip_entry(name, refs, detail):
-    return CheckEntry(
-        name=name, lhs=math.nan, rhs=math.nan, relation="==",
-        margin=math.nan, status="not_applicable", enforced=False,
-        refs=refs, detail=detail,
-    )
-
-
-def _guarded(entries, name, enforced, refs, fn):
-    """Append fn()'s entries, downgrading exceptions to an error entry."""
+def _guarded(name, refs, compute, relation, rel_slack=0.0, abs_slack=0.0):
+    """The enforced check of compute()'s (lhs, rhs[, detail]), or an error
+    entry naming the LabError that compute raised."""
     try:
-        out = fn()
+        lhs, rhs, *detail = compute()
     except LabError as exc:
-        entries.append(_error_entry(name, exc, enforced, refs))
-        return
-    if isinstance(out, CheckEntry):
-        entries.append(out)
-    else:
-        entries.extend(out)
+        return _uncompared(name, refs, "error", True, f"{type(exc).__name__}: {exc}")
+    return _check(name, refs, lhs, rhs, relation, rel_slack, abs_slack, True, *detail)
 
 
 def _merged_config(config, keys):
@@ -199,148 +182,6 @@ def _merged_config(config, keys):
     return cfg
 
 
-def _conformal_entries(metric, mesh, cfg):
-    surface = metric.surface
-    entries = []
-
-    entries.append(_check(
-        "area_normalized", metric.area, surface.total_area, "==",
-        conformal.AREA_MATCH_TOL, 0.0, True, "conformal.make_metric",
-    ))
-    entries.append(_check(
-        "mesh_sigma_area", mesh.total_area_sigma(), surface.total_area, "==",
-        0.005 if mesh.level >= 3 else SLACK_MESH, 0.0, mesh.level >= 3,
-        "surface.SurfaceMesh.total_area_sigma",
-    ))
-    entries.append(_check(
-        "euler_characteristic", mesh.euler_characteristic(), -2, "==",
-        SLACK_EXACT, 0.0, True, "surface.SurfaceMesh.euler_characteristic",
-    ))
-
-    def gauss():
-        res = conformal.gauss_bonnet(metric, mesh)
-        return _check(
-            "gauss_bonnet_total_curvature", res.value, res.expected, "==",
-            SLACK_QUAD, 0.0, True, "conformal.gauss_bonnet",
-            detail=f"method={res.method}",
-        )
-    _guarded(entries, "gauss_bonnet_total_curvature", True, "conformal.gauss_bonnet", gauss)
-
-    sign = conformal.nonpositivity_check(metric, mesh)
-    entries.append(_check(
-        "curvature_nonpositive", sign.min_excess, 0.0, ">=",
-        0.0, sign.tol, sign.certified, "conformal.nonpositivity_check",
-        detail=f"method={sign.method}, certified={sign.certified}",
-    ))
-
-    at_max_ok = sign.nonpositive and metric.u_max >= 0.0
-    if sign.nonpositive:
-        entries.append(_check(
-            "max_u_schwarz_bound", metric.u_max,
-            conformal.schwarz_upper_bound(surface.inj_radius), "<=",
-            SLACK_EXACT, EXACT_ABS_GUARD, True, "conformal.schwarz_upper_bound",
-        ))
-    else:
-        entries.append(_skip_entry(
-            "max_u_schwarz_bound", "conformal.schwarz_upper_bound",
-            "needs nonpositive curvature",
-        ))
-
-    center = complex(*metric.params["center"]) if "center" in metric.params else 0j
-    for radius in (0.5, 1.0):
-        name = f"circle_mean_bound_R{radius}"
-        if at_max_ok:
-            _guarded(entries, name, True, "geom.circle_integral_u", lambda radius=radius, name=name: _check(
-                name,
-                geom.circle_integral_u(metric, center, radius),
-                geom.circle_lower_bound(metric.u_max, radius), ">=",
-                SLACK_QUAD, EXACT_ABS_GUARD, True, "geom.circle_integral_u",
-            ))
-        else:
-            entries.append(_skip_entry(
-                name, "geom.circle_integral_u",
-                "needs nonpositive curvature and max u >= 0 at the center",
-            ))
-    name = "region_mean_bound_R1.0"
-    if at_max_ok:
-        def region():
-            lhs, rhs = geom.region_integral_u(metric, center, 1.0)
-            return _check(
-                name, lhs, rhs, ">=", SLACK_QUAD, EXACT_ABS_GUARD, True,
-                "geom.region_integral_u",
-            )
-        _guarded(entries, name, True, "geom.region_integral_u", region)
-    else:
-        entries.append(_skip_entry(
-            name, "geom.region_integral_u",
-            "needs nonpositive curvature and max u >= 0 at the center",
-        ))
-
-    k = cfg["k"]
-    system = spectral.assemble(metric, mesh)
-    deformed = spectral.eigenvalues(system, k)
-    sandwich = spectral.conformal_eigen_sandwich(
-        system, base_spectrum(surface, mesh, k), deformed
-    )
-    entries.append(_check(
-        "eigen_sandwich_margin", sandwich.worst_margin, 0.0, ">=",
-        0.0, 0.0, True, "spectral.conformal_eigen_sandwich",
-        detail=f"k={k}, violations={sandwich.violations}",
-    ))
-
-    curve = geom.systole_curve(surface, cfg["curve_samples"])
-    length_g, jensen = geom.jensen_lower_bound(metric, curve)
-    entries.append(_check(
-        "systole_jensen_consistency", length_g, jensen, ">=",
-        0.0, 1e-12 * max(1.0, jensen), True, "geom.jensen_lower_bound",
-    ))
-    if metric.family == "shrinker":
-        entries.append(_check(
-            "systole_target_length", length_g, metric.params["eps"], "==",
-            1e-6, 0.0, True, "geom.curve_length",
-        ))
-    if metric.family == "nonpositive_radial":
-        entries.append(_check(
-            "systole_length_floor", length_g, 0.1, ">=",
-            0.0, 0.0, True, "geom.curve_length",
-            detail="empirical floor charted over the amplitude sweep",
-        ))
-
-    if metric.family in ("stretcher", "dumbbell"):
-        entries.append(_check(
-            "radial_spike_length",
-            metric.field.spike.radial_segment_length(),
-            metric.field.spike.radial_length_bound(),
-            ">=", SLACK_QUAD, 0.0, True, "families._PowerSpike.radial_segment_length",
-        ))
-
-    if metric.family == "dumbbell":
-        def dumbbell_entries():
-            bound = spectral.dumbbell_test_bound(metric, system)
-            lam1 = float(deformed.eigenvalues[1])
-            yield _check(
-                "dumbbell_lambda1_bound", lam1, bound.total, "<=",
-                0.0, 1e-8 * max(1.0, abs(bound.total)), True,
-                "spectral.dumbbell_test_bound",
-                detail=f"delta_R={bound.delta_R!r}",
-            )
-            yield _check(
-                "dumbbell_ramp_energy", bound.ramp_energy_pair,
-                bound.analytic_bound, "<=", SLACK_QUAD, 0.0, True,
-                "spectral.dumbbell_test_bound",
-                detail="continuum Dirichlet energy of both ramps",
-            )
-        _guarded(entries, "dumbbell_lambda1_bound", True,
-                 "spectral.dumbbell_test_bound", lambda: list(dumbbell_entries()))
-
-    bounds = entropy.katok_bounds(metric)
-    entries.append(_check(
-        "katok_factor_cap", bounds.katok_factor, 1.0, "<=",
-        0.0, 0.0, True, "entropy.katok_bounds",
-    ))
-    return entries, bounds
-
-
 def verify_metric(metric, mesh, config=None) -> BoundsReport:
     """Run every applicable bound check and collect a structured report."""
     cfg = _merged_config(config, VERIFY_CONFIG_KEYS)
@@ -349,12 +190,111 @@ def verify_metric(metric, mesh, config=None) -> BoundsReport:
         raise UsageError(f"object {metric!r} is not a family metric")
     if mesh is None:
         raise UsageError("conformal verification needs a mesh")
-    entries, bounds = _conformal_entries(metric, mesh, cfg)
+    surface = metric.surface
+    k = cfg["k"]
+
+    def gauss_bonnet():
+        res = conformal.gauss_bonnet(metric, mesh)
+        return res.value, res.expected, f"method={res.method}"
+
+    entries = [
+        _check("area_normalized", "conformal.make_metric", metric.area,
+               surface.total_area, "==", conformal.AREA_MATCH_TOL),
+        _check("mesh_sigma_area", "surface.SurfaceMesh.total_area_sigma",
+               mesh.total_area_sigma(), surface.total_area, "==",
+               0.005 if mesh.level >= 3 else SLACK_MESH, enforced=mesh.level >= 3),
+        _check("euler_characteristic", "surface.SurfaceMesh.euler_characteristic",
+               mesh.euler_characteristic(), -2, "==", SLACK_EXACT),
+        _guarded("gauss_bonnet_total_curvature", "conformal.gauss_bonnet",
+                 gauss_bonnet, "==", SLACK_QUAD),
+    ]
+    sign = conformal.nonpositivity_check(metric, mesh)
+    entries += [
+        _check("curvature_nonpositive", "conformal.nonpositivity_check",
+               sign.min_excess, 0.0, ">=", 0.0, sign.tol, sign.certified,
+               f"method={sign.method}, certified={sign.certified}"),
+        _check("max_u_schwarz_bound", "conformal.schwarz_upper_bound", metric.u_max,
+               conformal.schwarz_upper_bound(surface.inj_radius), "<=",
+               SLACK_EXACT, EXACT_ABS_GUARD)
+        if sign.nonpositive else
+        _uncompared("max_u_schwarz_bound", "conformal.schwarz_upper_bound",
+                    "not_applicable", False, "needs nonpositive curvature"),
+    ]
+
+    def at_max(name, refs, compute):
+        # the mean-value bounds hold where u has a maximum >= 0 at the
+        # center of a nonpositively curved metric
+        if sign.nonpositive and metric.u_max >= 0.0:
+            return _guarded(name, refs, compute, ">=", SLACK_QUAD, EXACT_ABS_GUARD)
+        return _uncompared(name, refs, "not_applicable", False,
+                           "needs nonpositive curvature and max u >= 0 at the center")
+
+    center = complex(*metric.params["center"]) if "center" in metric.params else 0j
+    for radius in (0.5, 1.0):
+        entries.append(at_max(
+            f"circle_mean_bound_R{radius}", "geom.circle_integral_u",
+            lambda radius=radius: (geom.circle_integral_u(metric, center, radius),
+                                   geom.circle_lower_bound(metric.u_max, radius)),
+        ))
+    entries.append(at_max("region_mean_bound_R1.0", "geom.region_integral_u",
+                          lambda: geom.region_integral_u(metric, center, 1.0)))
+
+    system = spectral.assemble(metric, mesh)
+    deformed = spectral.eigenvalues(system, k)
+    sandwich = spectral.conformal_eigen_sandwich(
+        system, base_spectrum(surface, mesh, k), deformed
+    )
+    entries.append(_check(
+        "eigen_sandwich_margin", "spectral.conformal_eigen_sandwich",
+        sandwich.worst_margin, 0.0, ">=",
+        detail=f"k={k}, violations={sandwich.violations}",
+    ))
+
+    curve = geom.systole_curve(surface, cfg["curve_samples"])
+    length_g, jensen = geom.jensen_lower_bound(metric, curve)
+    entries.append(_check("systole_jensen_consistency", "geom.jensen_lower_bound",
+                          length_g, jensen, ">=", 0.0, 1e-12 * max(1.0, jensen)))
+    if family == "shrinker":
+        entries.append(_check("systole_target_length", "geom.curve_length",
+                              length_g, metric.params["eps"], "==", 1e-6))
+    if family == "nonpositive_radial":
+        entries.append(_check(
+            "systole_length_floor", "geom.curve_length", length_g, 0.1, ">=",
+            detail="empirical floor charted over the amplitude sweep",
+        ))
+
+    if family in ("stretcher", "dumbbell"):
+        spike = metric.field.spike
+        entries.append(_check(
+            "radial_spike_length", "families._PowerSpike.radial_segment_length",
+            spike.radial_segment_length(), spike.radial_length_bound(), ">=", SLACK_QUAD,
+        ))
+
+    if family == "dumbbell":
+        bound = None
+
+        def lambda1_bound():
+            nonlocal bound
+            bound = spectral.dumbbell_test_bound(metric, system)
+            return deformed.eigenvalues[1], bound.total, f"delta_R={bound.delta_R!r}"
+
+        entries.append(_guarded("dumbbell_lambda1_bound", "spectral.dumbbell_test_bound",
+                                lambda1_bound, "<=", 1e-8))
+        if bound is not None:
+            entries.append(_check(
+                "dumbbell_ramp_energy", "spectral.dumbbell_test_bound",
+                bound.ramp_energy_pair, bound.analytic_bound, "<=", SLACK_QUAD,
+                detail="continuum Dirichlet energy of both ramps",
+            ))
+
+    bounds = entropy.katok_bounds(metric)
+    entries.append(_check("katok_factor_cap", "entropy.katok_bounds",
+                          bounds.katok_factor, 1.0, "<="))
     metadata = {
         "family": family,
         "params": dict(metric.params),
         "level": mesh.level,
-        "k": cfg["k"],
+        "k": k,
         "timestamp": datetime.now(timezone.utc).isoformat()
         if cfg["embed_timestamp"] else None,
     }
@@ -392,14 +332,13 @@ def default_sweep_grid():
 @dataclass
 class SweepTable:
     rows: list
-    columns: tuple = SWEEP_COLUMNS
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
+        writer.writerow(SWEEP_COLUMNS)
         for row in self.rows:
-            writer.writerow([_csv_cell(row[c]) for c in self.columns])
+            writer.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
         return buf.getvalue()
 
 

@@ -53,6 +53,7 @@ log = logging.getLogger(__name__)
 GLUE_VALUE_TOL = 1e-8  # max disagreement of u across raw copies of a vertex
 SHIFT = -1e-3          # ARPACK shift: factor K - SHIFT * M
 DISSECTION_LEAF = 64   # index sets this small are not split further
+ARPACK_MAXITER = 500   # Arnoldi restarts before the eigensolve gives up
 
 
 def cotangent_stiffness(mesh) -> sp.csr_matrix:
@@ -228,7 +229,7 @@ def _residuals(K, mass, vals, vecs):
     return weighted, scaled
 
 
-def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResult:
+def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
     """Smallest k+1 generalized eigenvalues of (K, M).
 
     The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
@@ -290,13 +291,13 @@ def eigenvalues(system: SpectralSystem, k: int, *, maxiter=500) -> SpectralResul
                 OPinv=spla.LinearOperator((n, n), matvec=deflated, dtype=float),
                 v0=v0,
                 ncv=ncv,
-                maxiter=maxiter,
+                maxiter=ARPACK_MAXITER,
                 tol=0,
                 rng=0,
             )
         except spla.ArpackNoConvergence as exc:
             raise NumericError(
-                f"eigensolver failed to converge within {maxiter} iterations"
+                f"eigensolver failed to converge within {ARPACK_MAXITER} iterations"
             ) from exc
         order = np.argsort(vals)
         vals = vals[order]

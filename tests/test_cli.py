@@ -171,6 +171,58 @@ def test_verify_incomplete_descriptor_exit_two(tmp_path, capsys, drop):
     assert "'shrinker'" in err and f"'{drop}'" in err
 
 
+BAD_C_MEMBERS = {
+    "shrinker": ["--eps", "0.2", "--delta", "0.1"],
+    "stretcher": ["--eps", "0.2", "--delta", "0.1"],
+    "dumbbell": ["--eps", "0.2", "--delta", "0.1"],
+    "nonpositive_radial": ["--amplitude", "0.5"],
+}
+
+
+@pytest.mark.parametrize("family, C", [
+    # each overflowed the area quadrature (OverflowError traceback, exit 1)
+    ("nonpositive_radial", 1000.0), ("nonpositive_radial", 1e200),
+    ("shrinker", 1000.0), ("shrinker", 1e200), ("stretcher", 1e200),
+    # each missed the area (NormalizationError, exit 3)
+    ("shrinker", -0.5), ("stretcher", -0.5), ("dumbbell", -0.5),
+    ("nonpositive_radial", -0.5), ("dumbbell", 1000.0),
+])
+def test_verify_bad_stored_constant_exit_two(tmp_path, capsys, family, C):
+    """A stored C that does not normalize the area is malformed input."""
+    desc = tmp_path / f"{family}.json"
+    assert main(["metric", "make", "--family", family, *BAD_C_MEMBERS[family],
+                 "--out", str(desc)]) == 0
+    doc = json.loads(desc.read_text())
+    doc["C"] = C
+    desc.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--metric", str(desc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"C={C!r}" in err
+
+
+def test_verify_stored_negative_root_exit_two(surface, tmp_path, capsys):
+    """The spike area is quadratic in C; its negative root normalizes the
+    area but gives no metric (math domain error, exit 1, before)."""
+    area = surface.total_area
+
+    def area_of(c):
+        return families.SpikeField(area, (0j,), 0.2, 0.1, c).exp_integral(2)
+
+    a = 0.5 * (area_of(1.0) + area_of(-1.0)) - area_of(0.0)
+    b = 0.5 * (area_of(1.0) - area_of(-1.0))
+    negative = (-b - (b * b + 4.0 * a * (area - area_of(0.0))) ** 0.5) / (2.0 * a)
+    assert abs(area_of(negative) - area) < 1e-8 * area
+    desc = tmp_path / "stretcher.json"
+    assert main(["metric", "make", "--family", "stretcher",
+                 *BAD_C_MEMBERS["stretcher"], "--out", str(desc)]) == 0
+    doc = json.loads(desc.read_text())
+    doc["C"] = negative
+    desc.write_text(json.dumps(doc))
+    assert main(["verify", "--metric", str(desc)]) == 2
+    assert "is not positive" in capsys.readouterr().err
+
+
 def test_verify_k_below_one_exit_two(tmp_path, capsys):
     desc = tmp_path / "dumbbell.json"
     rep = tmp_path / "report.json"

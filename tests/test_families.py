@@ -15,6 +15,7 @@ from conformal_lab import conformal, families
 from conformal_lab.errors import DomainError, ParameterError, RangeError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
+    MIN_COLLAR_DELTA,
     MIN_SPIKE_DELTA,
     _cumulative_trapezoid,
     _simpson,
@@ -25,6 +26,7 @@ from conformal_lab.families import (
 )
 from conformal_lab.geom import curve_length, systole_curve
 from conformal_lab.hyp import disk_distance, distances_to
+from conformal_lab.report import verify_metric
 
 SYSTOLE = 3.0571418389619947
 
@@ -132,6 +134,17 @@ def test_shrinker_parameter_guards(surface):
         systole_shrinker(surface, 0.2, 0.0)
     with pytest.raises(ParameterError):
         systole_shrinker(surface, 0.2, 0.5)  # beyond embedded collar
+
+
+@pytest.mark.parametrize("eps", [SYSTOLE, 0.2, 1e-5])
+def test_shrinker_collar_floor(surface, mesh3, eps):
+    """Every check passes, warning-free, at the narrowest collar accepted;
+    half of it is refused (below ~8e-11 katok_factor_cap fails)."""
+    with pytest.raises(ParameterError, match="collar half-width"):
+        families.make(surface, "shrinker", eps=eps, delta=0.5 * MIN_COLLAR_DELTA)
+    metric = families.make(surface, "shrinker", eps=eps, delta=MIN_COLLAR_DELTA)
+    assert verify_metric(conformal.from_descriptor(conformal.to_descriptor(metric)),
+                         mesh3).passed
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import math
 
 import pytest
 
-from conformal_lab import families, spectral
+from conformal_lab import conformal, families, geom, spectral
 from conformal_lab.conformal import base_metric
-from conformal_lab.errors import UsageError
+from conformal_lab.errors import RangeError, UsageError
 from conformal_lab.report import (
     DEFAULT_CONFIG,
     SWEEP_COLUMNS,
@@ -205,6 +205,102 @@ def test_verify_guards(surface, mesh3):
         verify_metric(object(), mesh3)
     with pytest.raises(UsageError):
         verify_metric(base_metric(surface), None)
+
+
+def _raise_range_error(*args, **kwargs):
+    raise RangeError("injected failure")
+
+
+@pytest.mark.parametrize("module, attr, member, names, refs", [
+    (conformal, "gauss_bonnet", {"family": "base"},
+     ["gauss_bonnet_total_curvature"], "conformal.gauss_bonnet"),
+    (geom, "circle_integral_u", {"family": "base"},
+     ["circle_mean_bound_R0.5", "circle_mean_bound_R1.0"], "geom.circle_integral_u"),
+    (geom, "region_integral_u", {"family": "base"},
+     ["region_mean_bound_R1.0"], "geom.region_integral_u"),
+    (spectral, "dumbbell_test_bound", {"family": "dumbbell", "eps": 0.2, "delta": 0.1},
+     ["dumbbell_lambda1_bound"], "spectral.dumbbell_test_bound"),
+], ids=["gauss_bonnet", "circle", "region", "dumbbell"])
+def test_guarded_failure_becomes_error_entry(surface, mesh3, monkeypatch,
+                                             module, attr, member, names, refs):
+    """A LabError in a guarded computation becomes one enforced error entry
+    per check it feeds, and the report fails."""
+    metric = families.make(surface, **member)
+    monkeypatch.setattr(module, attr, _raise_range_error)
+    report = verify_metric(metric, mesh3)
+    for name in names:
+        entry = report.entry(name)
+        assert entry.status == "error" and entry.enforced and entry.failed
+        assert entry.refs == refs
+        assert entry.detail.startswith("RangeError: injected failure")
+        assert math.isnan(entry.lhs) and math.isnan(entry.margin)
+    assert "dumbbell_ramp_energy" not in [e.name for e in report.entries]
+    assert {e.name for e in report.entries if e.failed} == set(names)
+    assert not report.passed
+
+
+_COMMON_HEAD = [
+    ("area_normalized", "==", "pass", True, "conformal.make_metric"),
+    ("mesh_sigma_area", "==", "pass", True, "surface.SurfaceMesh.total_area_sigma"),
+    ("euler_characteristic", "==", "pass", True,
+     "surface.SurfaceMesh.euler_characteristic"),
+    ("gauss_bonnet_total_curvature", "==", "pass", True, "conformal.gauss_bonnet"),
+]
+_AT_MAX_PASS = [
+    ("curvature_nonpositive", ">=", "pass", True, "conformal.nonpositivity_check"),
+    ("max_u_schwarz_bound", "<=", "pass", True, "conformal.schwarz_upper_bound"),
+    ("circle_mean_bound_R0.5", ">=", "pass", True, "geom.circle_integral_u"),
+    ("circle_mean_bound_R1.0", ">=", "pass", True, "geom.circle_integral_u"),
+    ("region_mean_bound_R1.0", ">=", "pass", True, "geom.region_integral_u"),
+]
+_AT_MAX_SKIPPED = [
+    ("curvature_nonpositive", ">=", "fail", False, "conformal.nonpositivity_check"),
+    ("max_u_schwarz_bound", "==", "not_applicable", False,
+     "conformal.schwarz_upper_bound"),
+    ("circle_mean_bound_R0.5", "==", "not_applicable", False, "geom.circle_integral_u"),
+    ("circle_mean_bound_R1.0", "==", "not_applicable", False, "geom.circle_integral_u"),
+    ("region_mean_bound_R1.0", "==", "not_applicable", False, "geom.region_integral_u"),
+]
+_SPECTRUM_AND_SYSTOLE = [
+    ("eigen_sandwich_margin", ">=", "pass", True, "spectral.conformal_eigen_sandwich"),
+    ("systole_jensen_consistency", ">=", "pass", True, "geom.jensen_lower_bound"),
+]
+_SPIKE = [
+    ("radial_spike_length", ">=", "pass", True,
+     "families._PowerSpike.radial_segment_length"),
+]
+_KATOK = [("katok_factor_cap", "<=", "pass", True, "entropy.katok_bounds")]
+
+REPORT_LAYOUTS = {
+    "base": _COMMON_HEAD + _AT_MAX_PASS + _SPECTRUM_AND_SYSTOLE + _KATOK,
+    "shrinker": _COMMON_HEAD + _AT_MAX_SKIPPED + _SPECTRUM_AND_SYSTOLE + [
+        ("systole_target_length", "==", "pass", True, "geom.curve_length"),
+    ] + _KATOK,
+    "stretcher": _COMMON_HEAD + _AT_MAX_SKIPPED + _SPECTRUM_AND_SYSTOLE + _SPIKE
+    + _KATOK,
+    "dumbbell": _COMMON_HEAD + _AT_MAX_SKIPPED + _SPECTRUM_AND_SYSTOLE + _SPIKE + [
+        ("dumbbell_lambda1_bound", "<=", "pass", True, "spectral.dumbbell_test_bound"),
+        ("dumbbell_ramp_energy", "<=", "pass", True, "spectral.dumbbell_test_bound"),
+    ] + _KATOK,
+    "nonpositive_radial": _COMMON_HEAD + _AT_MAX_PASS + _SPECTRUM_AND_SYSTOLE + [
+        ("systole_length_floor", ">=", "pass", True, "geom.curve_length"),
+    ] + _KATOK,
+}
+
+
+@pytest.mark.parametrize("member", [{"family": "base"}, *ONE_PER_FAMILY],
+                         ids=lambda member: member["family"])
+def test_report_layout(surface, mesh3, member):
+    """Entry order, relations, verdicts, gates and refs of one member per
+    family; float values are left out since they depend on the BLAS."""
+    report = verify_metric(families.make(surface, **member), mesh3)
+    layout = [(e.name, e.relation, e.status, e.enforced, e.refs) for e in report.entries]
+    assert layout == REPORT_LAYOUTS[member["family"]]
+    for e in report.entries:
+        if e.status == "not_applicable":
+            assert e.detail == ("needs nonpositive curvature"
+                                if e.name == "max_u_schwarz_bound" else
+                                "needs nonpositive curvature and max u >= 0 at the center")
 
 
 # ---------------------------------------------------------------------------
