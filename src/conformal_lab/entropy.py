@@ -10,6 +10,7 @@ already provide; no dynamics is simulated.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, ParameterError
@@ -79,7 +80,8 @@ def coding_ball_count(volume: float, dim: int, rho: float) -> int:
     """Number of disjoint rho/4-balls that fit by volume alone."""
     if not 0.0 < volume < math.inf:
         raise ParameterError(f"volume must be positive and finite, got {volume}")
-    if not (math.isfinite(dim) and int(dim) == dim and dim >= 2):
+    integral = isinstance(dim, numbers.Integral) or math.isfinite(dim) and int(dim) == dim
+    if not integral or dim < 2:
         raise ParameterError(f"dimension must be an integer >= 2, got {dim}")
     if not 0.0 < rho < math.inf:
         raise ParameterError(f"separation rho must be positive and finite, got {rho}")

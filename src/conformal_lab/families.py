@@ -29,6 +29,7 @@ into the emitted descriptor so reloads skip the solve:
 import functools
 import math
 import numbers
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,6 +42,7 @@ from .hyp import (
     axis_distances,
     disk_distance,
     distances_to,
+    fermi_points,
     polar_points,
 )
 from .surface import HyperbolicSurface
@@ -205,8 +207,8 @@ class ShrinkerField(conformal.ScalarField):
         return 2.0 * self.sys * _simpson(lap, r)
 
     def sign_probe_points(self):
-        r = np.linspace(0.0, self.delta, 2049)
-        return np.zeros_like(r), np.tanh(0.5 * r)
+        z = fermi_points(np.linspace(0.0, self.delta, 2049), 0.0)
+        return z.real, z.imag
 
 
 def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
@@ -668,11 +670,11 @@ POINT_PARAMS = ("p", "q", "center")
 
 
 def is_real(value):
-    """True for finite int and float values (numpy ones included), not bools."""
+    """True for int and float values that are finite floats (numpy's too), not bools."""
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 
@@ -710,7 +712,9 @@ def _checked(family, key, value):
         )
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(is_real, value)):
         value = complex(*value)
-    if isinstance(value, bool) or not isinstance(value, (DiskPoint, numbers.Number)):
+    if not isinstance(value, (DiskPoint, numbers.Number)) or (
+        isinstance(value, numbers.Real) and not is_real(value)  # a bool, nan or huge int
+    ):
         raise UsageError(
             f"family '{family}': point '{key}' must be a complex number or "
             f"an [x, y] pair, got {value!r}"

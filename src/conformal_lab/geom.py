@@ -8,10 +8,11 @@ also bounds the eccentricities from its images under the octagon
 symmetries that the metric's edge weights keep.  The Green residuals are
 checked by the acceptance tests only, not by verify reports.
 
-Collar computations read the systole's Fermi chart from hyp:
-fermi_points(r, s) is the point at signed distance r from the real-axis
-geodesic and arclength s along it, axis_distances gives r back, and the
-base metric there is dr^2 + cosh(r)^2 ds^2 with area element cosh(r).
+One sampler serves each sigma-chart: _polar_u, u on hyp.polar_points
+around a point in blocks of rings, and hyp.fermi_points(r, s) at signed
+distance r from the systole and arclength s along it.  Both charts carry
+a base metric dr^2 + area(r)^2 dt^2, area sinh r and cosh r, so one
+_green_residual serves the ball and the collar.
 """
 
 import cmath
@@ -31,8 +32,10 @@ log = logging.getLogger(__name__)
 TWO_PI = 2.0 * math.pi
 RING_BLOCK = 64  # rings of a ball quadrature evaluated at once
 SAMPLES_PER_EDGE = 8  # default e^u samples per edge of the diameter graph
+MAX_SAMPLES_PER_EDGE = 4096  # ~3 s of edge weights per level-5 diameter call
 CURVE_SAMPLES = 2049  # default samples of the systole curve
-CIRCLE_ANGLES = np.arange(1024) * (TWO_PI / 1024)  # samples of a circle integral
+MAX_CURVE_SAMPLES = 2**20 + 1  # lengths reach round-off; ~100 B per sample
+CIRCLE_SAMPLES = 1024  # samples of a circle integral
 
 
 @dataclass
@@ -51,8 +54,8 @@ def systole_curve(surface, n=CURVE_SAMPLES) -> Curve:
     """n samples of the systole geodesic along the real axis, one period
     from side midpoint to side midpoint (the endpoints are glued copies)."""
     half_range = surface.domain.in_radius
-    x = np.tanh(0.5 * np.linspace(-half_range, half_range, n))
-    return Curve(samples=np.column_stack([x, np.zeros_like(x)]))
+    z = fermi_points(0.0, np.linspace(-half_range, half_range, n))
+    return Curve(samples=np.column_stack([z.real, z.imag]))
 
 
 def _check_in_disk(samples):
@@ -288,11 +291,18 @@ def _check_embedded(metric, center, R, label):
         )
 
 
+def _polar_u(metric, center, r, n_theta):
+    """u on the polar grid (radii r, n_theta angles) around center, by blocks."""
+    theta = np.arange(n_theta) * (TWO_PI / n_theta)
+    for lo in range(0, len(r), RING_BLOCK):
+        pts = polar_points(center, r[lo:lo + RING_BLOCK, None], theta)
+        yield np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
+
+
 def circle_integral_u(metric, center, R) -> float:
     """Integral of u over the sigma-circle of radius R (against dl_sigma)."""
     _check_embedded(metric, center, R, "circle")
-    pts = polar_points(center, R, CIRCLE_ANGLES)
-    u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
+    u, = _polar_u(metric, center, np.array([R]), CIRCLE_SAMPLES)
     return math.sinh(R) * float(np.mean(u)) * TWO_PI
 
 
@@ -311,15 +321,11 @@ def region_integral_u(metric, center, R, grid=(1024, 1024)):
     _check_embedded(metric, center, R, "ball")
     n_r, n_t = grid
     r = np.linspace(0.0, R, n_r)
-    theta = np.arange(n_t) * (TWO_PI / n_t)
     # each ring's mean is its own row reduction, so blocks of rings give
     # the same bits as the whole grid in bounded memory
-    ring_means = np.empty(n_r)
-    for lo in range(0, n_r, RING_BLOCK):
-        pts = polar_points(center, r[lo:lo + RING_BLOCK, None], theta)
-        u = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
-        ring_means[lo:lo + RING_BLOCK] = np.mean(u, axis=1)
-    ring_means *= TWO_PI
+    ring_means = np.concatenate(
+        [np.mean(u, axis=1) for u in _polar_u(metric, center, r, n_t)]
+    ) * TWO_PI
     lhs = float(np.trapezoid(ring_means * np.sinh(r), r))
     rhs = -TWO_PI - 4.0 * math.pi * (
         (math.cosh(R) + 1.0) * math.log(math.cosh(0.5 * R)) - 0.5 * math.cosh(R)
@@ -327,47 +333,39 @@ def region_integral_u(metric, center, R, grid=(1024, 1024)):
     return lhs, rhs
 
 
-def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
-    """|ball integral of lap u - flux through the boundary circle|.
-
-    Everything is discretized on one polar grid: second-order finite
-    differences for the derivatives, trapezoid/periodic-rectangle rules
-    for the integrals, so the residual decays at second order.
-    """
-    _check_embedded(metric, center, rho, "ball")
-    n_r, n_t = grid
-    h = rho / n_r
-    r_ext = np.linspace(0.0, rho + h, n_r + 2)
-    pts = polar_points(center, r_ext[:, None], np.arange(n_t) * (TWO_PI / n_t))
-    U = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
-
+def _green_residual(U, r, period, area, d_area):
+    """|integral of lap u - flux through the end rows| in a chart with base
+    metric dr^2 + area(r)^2 dt^2, t periodic: U holds u on the equally
+    spaced rows r, the outer two being ghosts for central differences,
+    and area * lap u = area u_rr + area' u_r + u_tt / area."""
+    h = (r[-1] - r[0]) / (len(r) - 1)
+    h_t = period / U.shape[1]
     u_r = (U[2:] - U[:-2]) / (2.0 * h)
     u_rr = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / (h * h)
-    h_t = TWO_PI / n_t
     u_tt = (np.roll(U, -1, axis=1) - 2.0 * U + np.roll(U, 1, axis=1))[1:-1] / (h_t * h_t)
+    r_in = r[1:-1]
+    a = area(r_in)[:, None]
+    integrand = a * u_rr + d_area(r_in)[:, None] * u_r + u_tt / a
+    lhs = float(np.trapezoid(np.mean(integrand, axis=1) * period, r_in))
+    flux = area(r_in) * np.mean(u_r, axis=1) * period
+    return abs(lhs - (flux[-1] - flux[0]))
 
-    r_in = r_ext[1:-1]
-    integrand = (
-        u_rr * np.sinh(r_in)[:, None]
-        + u_r * np.cosh(r_in)[:, None]
-        + u_tt / np.sinh(r_in)[:, None]
-    )
-    per_ring = np.mean(integrand, axis=1) * TWO_PI
-    # the integrand vanishes at r = 0 (lap u bounded, sinh r -> 0)
-    lhs = float(np.trapezoid(np.concatenate([[0.0], per_ring]),
-                             np.concatenate([[0.0], r_in])))
-    flux = math.sinh(rho) * float(np.mean(u_r[-1])) * TWO_PI
-    return abs(lhs - flux)
+
+def at_max_green_residual(metric, center, rho, grid=(512, 512)) -> float:
+    """|ball integral of lap u - flux through the boundary circle| on one
+    polar grid, second order in its step h; the inward flux through r = h
+    stands for the ball r < h."""
+    _check_embedded(metric, center, rho, "ball")
+    n_r, n_t = grid
+    r = np.linspace(0.0, rho + rho / n_r, n_r + 2)
+    U = np.concatenate(list(_polar_u(metric, center, r, n_t)))
+    return _green_residual(U, r, TWO_PI, np.sinh, np.cosh)
 
 
 def collar_green_residual(metric, eps, rho, grid=(512, 512)) -> float:
     """Green identity residual on the half-collar r in [-rho, -eps] of the
-    systole of metric.surface.
-
-    Compares the area integral of lap u against the flux difference
-    cosh(eps) F'(-eps) - cosh(rho) F'(-rho), F(r) the sidewise integral
-    of u, with all derivatives by grid-tied central differences.
-    """
+    systole of metric.surface, in its Fermi chart: the area integral of
+    lap u against the flux through r = -eps and r = -rho."""
     surface = metric.surface
     if not 0.0 < eps < rho:
         raise RangeError(f"need 0 < eps < rho, got eps={eps}, rho={rho}")
@@ -378,24 +376,8 @@ def collar_green_residual(metric, eps, rho, grid=(512, 512)) -> float:
         )
     n_r, n_s = grid
     h = (rho - eps) / (n_r - 1)
-    r_ext = np.linspace(-rho - h, -eps + h, n_r + 2)
+    r = np.linspace(-rho - h, -eps + h, n_r + 2)
     period = surface.systole
-    s = np.arange(n_s) * (period / n_s)
-    pts = fermi_points(r_ext[:, None], s[None, :])
+    pts = fermi_points(r[:, None], np.arange(n_s) * (period / n_s))
     U = np.asarray(metric.u_at(pts.real, pts.imag), dtype=float)
-
-    u_r = (U[2:] - U[:-2]) / (2.0 * h)
-    u_rr = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / (h * h)
-    h_s = period / n_s
-    u_ss = (np.roll(U, -1, axis=1) - 2.0 * U + np.roll(U, 1, axis=1))[1:-1] / (h_s * h_s)
-
-    r_in = r_ext[1:-1]
-    lap = u_rr + np.tanh(r_in)[:, None] * u_r + u_ss / np.cosh(r_in)[:, None] ** 2
-    per_row = np.mean(lap * np.cosh(r_in)[:, None], axis=1) * period
-    lhs = float(np.trapezoid(per_row, r_in))
-
-    F = np.mean(U, axis=1) * period
-    F_eps = (F[-1] - F[-3]) / (2.0 * h)
-    F_rho = (F[2] - F[0]) / (2.0 * h)
-    rhs = math.cosh(eps) * F_eps - math.cosh(rho) * F_rho
-    return abs(lhs - rhs)
+    return _green_residual(U, r, period, np.cosh, np.sinh)

@@ -153,44 +153,27 @@ class MobiusTransform:
         return 2.0 * math.acosh(0.5 * t)
 
 
-def _distances(ax, ay, bx, by):
-    # d = 2 artanh |a - b| / |1 - conj(a) b|, written out in coordinates
+def pair_distances(ax, ay, bx, by):
+    """Hyperbolic distances between disk points (ax, ay) and (bx, by).
+
+    Uses d = 2 artanh |a - b| / |1 - conj(a) b|, written out in disk
+    coordinates (the curvature -1 normalization); the four arguments
+    broadcast together.
+    """
+    ax, ay, bx, by = (np.asarray(v, dtype=np.float64) for v in (ax, ay, bx, by))
     dx = bx - ax
     dy = by - ay
-    num = dx * dx + dy * dy
     re = 1.0 - ax * bx - ay * by
     im = ax * by - ay * bx
-    den = re * re + im * im
-    t = np.sqrt(num / den)
-    return 2.0 * np.arctanh(t)
-
-
-def pair_distances(ax, ay, bx, by):
-    """Hyperbolic distances between point arrays in the unit disk.
-
-    Uses d = 2 artanh |a - b| / |1 - conj(a) b| on disk coordinates,
-    the curvature -1 normalization.
-    """
-    return _distances(
-        np.ascontiguousarray(ax, dtype=np.float64),
-        np.ascontiguousarray(ay, dtype=np.float64),
-        np.ascontiguousarray(bx, dtype=np.float64),
-        np.ascontiguousarray(by, dtype=np.float64),
-    )
+    t = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
+    return np.asarray(2.0 * np.arctanh(t))
 
 
 def distances_to(x, y, anchor):
-    """Hyperbolic distances from disk points (x, y) to one anchor point.
-
-    The same arithmetic as pair_distances with the anchor as the second
-    point, so the values agree bit for bit; the shape is that of x and y
-    broadcast together.
-    """
+    """Hyperbolic distances from disk points (x, y) to one anchor point:
+    pair_distances with the anchor as the second point."""
     b = _as_complex(anchor)
-    return np.asarray(_distances(
-        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
-        b.real, b.imag,
-    ))
+    return pair_distances(x, y, b.real, b.imag)
 
 
 def polar_points(center, r, theta=None):
@@ -244,10 +227,7 @@ def tri_areas(x, y, tris):
     Each row of ``tris`` indexes three disk points; the area is
     pi - (sum of the three corner angles), exact for geodesic sides.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    tris = np.ascontiguousarray(tris, dtype=np.int64)
-    z = x + 1j * y
+    z = np.asarray(x, dtype=np.float64) + 1j * np.asarray(y, dtype=np.float64)
     za = z[tris[:, 0]]
     zb = z[tris[:, 1]]
     zc = z[tris[:, 2]]

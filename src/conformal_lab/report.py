@@ -41,14 +41,18 @@ __all__ = [
 ]
 
 #: every config key and its default; the default's type is the rule for
-#: a given value: an int default takes an int >= 1 (not a bool), a bool
-#: default a bool
+#: a given value: an int default takes an int >= 1 (not a bool) and at
+#: most its CONFIG_MAXIMA entry, a bool default a bool
 DEFAULT_CONFIG = {
     "k": 10,                  # sandwich depth
     "samples_per_edge": geom.SAMPLES_PER_EDGE,  # diameter estimator resolution
     "curve_samples": geom.CURVE_SAMPLES,  # systole sampling for length checks
     "embed_timestamp": False,
 }
+
+#: the largest value of each integer config key that has a bound
+CONFIG_MAXIMA = {"samples_per_edge": geom.MAX_SAMPLES_PER_EDGE,
+                 "curve_samples": geom.MAX_CURVE_SAMPLES}
 
 #: the DEFAULT_CONFIG keys a sweep reads
 SWEEP_CONFIG_KEYS = ("samples_per_edge", "curve_samples")
@@ -178,6 +182,10 @@ def _merged_config(config, keys):
             raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
         elif value < 1:
             raise UsageError(f"config key {key!r} must be at least 1, got {value!r}")
+        elif value > CONFIG_MAXIMA.get(key, value):
+            raise UsageError(
+                f"config key {key!r} must be at most {CONFIG_MAXIMA[key]}, got {value!r}"
+            )
         cfg[key] = value
     return cfg
 

@@ -361,6 +361,11 @@ def dumbbell_test_bound(metric, system: SpectralSystem) -> DumbbellBound:
         f_raw = spike.ramp_values(distances_to(mesh.xy[:, 0], mesh.xy[:, 1], anchor))
         f = np.zeros(mesh.n_rep)
         f[mesh.rep] = f_raw
+        if not f.any():
+            raise DomainError(
+                f"no level-{mesh.level} mesh vertex lies within eps/2 = "
+                f"{0.5 * spike.eps!r} of the dumbbell anchor {anchor!r}"
+            )
         fs.append(f)
     if np.any((fs[0] != 0.0) & (fs[1] != 0.0)):
         raise ParameterError("dumbbell test-function supports overlap")

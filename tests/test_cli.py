@@ -345,6 +345,47 @@ def test_sweep_stale_cylinder_entry_exit_one(tmp_path, capsys):
     assert ": ParameterError: unknown family 'cylinder'" in out
 
 
+#: an integer that no float can hold
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eps", HUGE, "parameter 'eps' must be a finite real number"),
+    ("p", [HUGE, 0.0], "point 'p' must be a complex number or an [x, y] pair"),
+    ("C", HUGE, "parameter 'C' must be a finite real number"),
+])
+def test_verify_huge_integer_in_descriptor_exit_two(tmp_path, capsys, key, value, message):
+    desc = tmp_path / "stretcher.json"
+    assert main(["metric", "make", "--family", "stretcher",
+                 *BAD_C_MEMBERS["stretcher"], "--out", str(desc)]) == 0
+    doc = json.loads(desc.read_text())
+    (doc if key == "C" else doc["params"])[key] = value
+    desc.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--metric", str(desc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_huge_integer_in_grid_error_row(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "level": 1,
+        "grid": [{"family": "stretcher", "eps": HUGE, "delta": 0.1}],
+    }))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out
+    assert "ERROR stretcher eps= " in out
+    assert "UsageError: family 'stretcher': parameter 'eps' must be a finite real number" in out
+
+
+@pytest.mark.parametrize("key", ["samples_per_edge", "curve_samples"])
+def test_sweep_config_key_beyond_its_bound_exit_two(tmp_path, capsys, key):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"version": 1, "level": 1, key: HUGE}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert f"error: config key '{key}' must be at most " in capsys.readouterr().err
+
+
 def test_sweep_config_version_required(tmp_path, capsys):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({"level": 2, "grid": []}))
@@ -397,6 +438,12 @@ def test_entropy_coding_output(capsys):
 
 def test_entropy_coding_guard_exit_two(capsys):
     assert main(["entropy", "coding", "--volume", "0.01", "--dim", "2", "--rho", "1.0"]) == 2
+
+
+def test_entropy_coding_huge_dim_exit_two(capsys):
+    argv = ["entropy", "coding", "--volume", "1.0", "--dim", str(HUGE), "--rho", "1.0"]
+    assert main(argv) == 2
+    assert "out of floating-point range" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -184,6 +184,16 @@ def test_at_max_residual_decays_second_order(surface):
     assert coarse / fine == pytest.approx(4.0, rel=0.35)
 
 
+def test_at_max_residual_decays_second_order_off_center(surface):
+    # the polar grid around a Mobius-translated center
+    center = 0.1 - 0.05j
+    metric = families.make(surface, "nonpositive_radial", amplitude=1.0, center=center)
+    coarse = at_max_green_residual(metric, center, 1.0, grid=(128, 128))
+    fine = at_max_green_residual(metric, center, 1.0, grid=(256, 256))
+    assert fine < 1e-4
+    assert coarse / fine == pytest.approx(4.0, rel=0.35)
+
+
 def test_collar_residual_decays_second_order(surface):
     metric = families.make(surface, "shrinker", eps=0.2, delta=0.1)
     coarse = collar_green_residual(metric, 0.02, 0.3, grid=(128, 128))

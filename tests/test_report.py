@@ -153,6 +153,25 @@ def test_sweep_rejects_bad_config_value(surface, mesh3, key, value):
         sweep(surface, mesh3, grid, {key: value})
 
 
+@pytest.mark.parametrize("key, bound", [
+    ("samples_per_edge", "MAX_SAMPLES_PER_EDGE"), ("curve_samples", "MAX_CURVE_SAMPLES"),
+])
+def test_sweep_config_bounds_are_inclusive(surface, mesh3, monkeypatch, key, bound):
+    class Started(Exception):
+        """The sweep got past its config check."""
+
+    def work(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(geom, "systole_curve", work)
+    grid = [{"family": "nonpositive_radial", "amplitude": 0.5}]
+    top = getattr(geom, bound)
+    with pytest.raises(UsageError, match=f"'{key}' must be at most {top}, got {top + 1}"):
+        sweep(surface, mesh3, grid, {key: top + 1})
+    with pytest.raises(Started):
+        sweep(surface, mesh3, grid, {key: top})
+
+
 def test_config_must_be_a_dict(surface, mesh3):
     grid = [{"family": "nonpositive_radial", "amplitude": 0.5}]
     with pytest.raises(UsageError, match="dict"):

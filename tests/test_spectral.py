@@ -12,9 +12,9 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from conformal_lab import build_mesh, families
+from conformal_lab import build_mesh, families, spectral
 from conformal_lab.conformal import base_metric
-from conformal_lab.errors import ConstructionError, ParameterError, UsageError
+from conformal_lab.errors import ConstructionError, DomainError, ParameterError, UsageError
 from conformal_lab.report import default_sweep_grid
 from conformal_lab.spectral import (
     SHIFT,
@@ -283,6 +283,21 @@ def test_dumbbell_ramp_energy_below_analytic_cap(surface, mesh3):
         assert bound.analytic_bound == pytest.approx(
             4.0 * math.pi / (4.0 * bound.delta_R**2), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_dumbbell_bound_names_an_anchor_no_vertex_reaches(surface, monkeypatch, level):
+    # on a coarse mesh no vertex lies inside the ramp's support, so the
+    # test function would be the zero vector
+    metric = families.make(surface, "dumbbell", eps=0.2, delta=0.1)
+    system = assemble(metric, build_mesh(surface.domain, level))
+    monkeypatch.setattr(spectral, "rayleigh", lambda *args: pytest.fail("quotient taken"))
+    anchor = metric.field.anchors[0]
+    with pytest.raises(DomainError, match=re.escape(
+        f"no level-{level} mesh vertex lies within eps/2 = 0.1 of the "
+        f"dumbbell anchor {anchor!r}"
+    )):
+        dumbbell_test_bound(metric, system)
 
 
 def test_dumbbell_bound_rejects_other_families(surface, mesh3):
