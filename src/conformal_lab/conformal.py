@@ -137,7 +137,8 @@ def make_metric(surface, field, family, params, C):
             area = field.exp_integral(2)
     except (OverflowError, FloatingPointError):  # an overflowing area misses too
         area = math.inf
-    if abs(area - surface.total_area) > AREA_MATCH_TOL * max(1.0, surface.total_area):
+    # written so that a NaN area misses too
+    if not abs(area - surface.total_area) <= AREA_MATCH_TOL * max(1.0, surface.total_area):
         raise NormalizationError(
             f"family '{family}': area {area!r} misses target "
             f"{surface.total_area!r} beyond {AREA_MATCH_TOL}"
@@ -171,7 +172,7 @@ def normalize_area(area_of_C, target, lo, hi):
     """
     f_lo = area_of_C(lo) - target
     f_hi = area_of_C(hi) - target
-    if f_lo > 0.0 or f_hi < 0.0:
+    if not f_lo <= 0.0 <= f_hi:  # a NaN area fails too
         raise NormalizationError(
             f"no normalization bracket: area({lo})={f_lo + target}, "
             f"area({hi})={f_hi + target}, target={target}"

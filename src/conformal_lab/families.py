@@ -92,8 +92,8 @@ def bump_jet(x, a):
     return phi, d1, d2
 
 
-def _simpson(y, x):
-    """Composite Simpson's rule of samples y at nodes x, for an odd count.
+def _simpson_weights(x):
+    """Composite Simpson weights at nodes x, for an odd count.
 
     The arithmetic of scipy.integrate.simpson(y, x=x) (scipy 1.17) for an
     odd count: each panel uses the unequal-spacing weights, and the same
@@ -108,10 +108,18 @@ def _simpson(y, x):
     ratio = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
     inv_ratio = np.true_divide(1.0, ratio, out=np.zeros_like(ratio), where=ratio != 0)
     mid = hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    tmp = hsum / 6.0 * (
-        y[0:-2:2] * (2.0 - inv_ratio) + y[1:-1:2] * mid + y[2::2] * (2.0 - ratio)
-    )
-    return float(np.sum(tmp))
+    return hsum / 6.0, 2.0 - inv_ratio, mid, 2.0 - ratio
+
+
+def _simpson_apply(weights, y):
+    """Simpson's rule of samples y with the weights of their nodes."""
+    scale, left, mid, right = weights
+    return float(np.sum(scale * (y[0:-2:2] * left + y[1:-1:2] * mid + y[2::2] * right)))
+
+
+def _simpson(y, x):
+    """Composite Simpson's rule of samples y at nodes x, for an odd count."""
+    return _simpson_apply(_simpson_weights(x), y)
 
 
 def _cumulative_trapezoid(y, x):
@@ -122,12 +130,7 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _simpson_linear(fn, lo, hi, n):
-    x = np.linspace(lo, hi, n)
-    return _simpson(fn(x), x)
-
-
-def _simpson_log(fn, lo, hi, n=2049):
+def _simpson_log(fn, lo, hi, n=8193):
     """Simpson in log r of fn(r) dr; handles intervals spanning decades."""
     x = np.linspace(math.log(lo), math.log(hi), n)
     r = np.exp(x)
@@ -148,16 +151,18 @@ MIN_COLLAR_DELTA = 1e-10
 
 @functools.lru_cache(maxsize=1)
 def _collar_table(delta):
-    """(r, phi, phi', phi'', cosh r, tanh r) on the collar quadrature grid.
+    """(phi, phi', phi'', cosh r, tanh r) on the collar quadrature grid,
+    and the grid's Simpson weights.
 
     Read-only and cached for the last delta, so the normalization
-    bisection of one shrinker evaluates the bump once.
+    bisection of one shrinker evaluates the bump and the weights once.
     """
     r = np.linspace(0.0, delta, 4097)
-    table = (r, *bump_jet(r, delta), np.cosh(r), np.tanh(r))
-    for column in table:
+    columns = (*bump_jet(r, delta), np.cosh(r), np.tanh(r))
+    weights = _simpson_weights(r)
+    for column in (*columns, *weights):
         column.flags.writeable = False
-    return table
+    return (*columns, weights)
 
 
 class ShrinkerField(conformal.ScalarField):
@@ -194,17 +199,17 @@ class ShrinkerField(conformal.ScalarField):
         return min(-self.depth, self.C), max(-self.depth, self.C)
 
     def exp_integral(self, power):
-        r, phi, _, _, cosh, _ = _collar_table(self.delta)
+        phi, _, _, cosh, _, weights = _collar_table(self.delta)
         v = self.C - (self.depth + self.C) * phi
-        collar = 2.0 * self.sys * _simpson(np.exp(power * v) * cosh, r)
+        collar = 2.0 * self.sys * _simpson_apply(weights, np.exp(power * v) * cosh)
         outside = self.base_area - 2.0 * self.sys * math.sinh(self.delta)
         return collar + math.exp(power * self.C) * outside
 
     def laplacian_integral(self):
-        r, _, d1, d2, cosh, tanh = _collar_table(self.delta)
+        _, d1, d2, cosh, tanh, weights = _collar_table(self.delta)
         amp = self.depth + self.C
         lap = (-amp * d2 + tanh * (-amp * d1)) * cosh
-        return 2.0 * self.sys * _simpson(lap, r)
+        return 2.0 * self.sys * _simpson_apply(weights, lap)
 
     def sign_probe_points(self):
         z = fermi_points(np.linspace(0.0, self.delta, 2049), 0.0)
@@ -217,6 +222,10 @@ def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
     if not 0.0 < eps <= sys_length:
         raise ParameterError(
             f"shrinker needs 0 < eps <= systole {sys_length:.6f}, got {eps}"
+        )
+    if not math.isfinite(math.log(sys_length / eps)):
+        raise ParameterError(
+            f"shrinker eps {eps} is too small: the depth log(systole/eps) overflows"
         )
     if not MIN_COLLAR_DELTA <= delta <= surface.collar_half_width:
         raise ParameterError(
@@ -256,7 +265,7 @@ class _PowerSpike:
     """Radial profile rho(r): inner plateau, r^{-(1-delta/2)} power zone on
     [exp(-1/delta), eps/2], constant C past eps; conformal factor e^u = rho."""
 
-    def __init__(self, base_area, eps, delta, C):
+    def __init__(self, base_area, eps, delta, C, zones=None):
         self.base_area = base_area
         self.eps = eps
         self.delta = delta
@@ -267,8 +276,10 @@ class _PowerSpike:
             base_area * delta / (16.0 * math.pi)
         )
         self.log_inner = self.log_amp + self.p_exp * (math.log(2.0) + 1.0 / delta)
+        self.zones = _SpikeZones(self) if zones is None else zones
 
-    def rho_jet(self, r):
+    def affine_jet(self, r):
+        """rho, rho', rho'' at radii r as pairs (a, b), each a + b C."""
         r = np.asarray(r, dtype=float)
         pe, pe1, pe2 = bump_jet(r, self.eps)
         p1, p11, p12 = bump_jet(r, self.r1)
@@ -284,19 +295,23 @@ class _PowerSpike:
         bv = inner * p1 + (1.0 - p1) * cv
         bd = inner * p11 + (1.0 - p1) * cd - p11 * cv
         bdd = inner * p12 + (1.0 - p1) * cdd - 2.0 * p11 * cd - p12 * cv
-        rv = pe * bv + (1.0 - pe) * self.C
-        rd = pe1 * bv + pe * bd - pe1 * self.C
-        rdd = pe2 * bv + 2.0 * pe1 * bd + pe * bdd - pe2 * self.C
-        return rv, rd, rdd
+        return (
+            (pe * bv, 1.0 - pe),
+            (pe1 * bv + pe * bd, -pe1),
+            (pe2 * bv + 2.0 * pe1 * bd + pe * bdd, -pe2),
+        )
+
+    def rho(self, r):
+        (a, b), _, _ = self.affine_jet(r)
+        return a + b * self.C
 
     def u_values(self, r):
-        rv, _, _ = self.rho_jet(r)
-        return np.log(rv)
+        return np.log(self.rho(r))
 
     def laplacian(self, r):
         """u'' + coth(r) u' for the radial profile u = log rho."""
         r = np.asarray(r, dtype=float)
-        rv, rd, rdd = self.rho_jet(r)
+        rv, rd, rdd = (a + b * self.C for a, b in self.affine_jet(r))
         u1 = rd / rv
         u2 = rdd / rv - u1 * u1
         coth_term = np.zeros_like(r)
@@ -304,49 +319,23 @@ class _PowerSpike:
         coth_term[m] = u1[m] / np.tanh(r[m])
         return u2 + coth_term
 
-    # -- zone quadratures -------------------------------------------------
-
-    def _integrate_zones(self, fn):
-        r1, eps = self.r1, self.eps
-        zones = (
-            (0.5 * r1, r1, "log"),
-            (r1, 0.5 * eps, "log"),
-            (0.5 * eps, eps, "lin"),
-        )
-        total = 0.0
-        for lo, hi, kind in zones:
-            if kind == "log":
-                total += _simpson_log(fn, lo, hi)
-            else:
-                total += _simpson_linear(fn, lo, hi, n=2049)
-        return total
-
     def ball_exp_integral(self, power):
         """Integral of e^{power u} over the sigma-ball of radius eps."""
         plateau = math.exp(power * self.log_inner) * (
             4.0 * math.pi * math.sinh(0.25 * self.r1) ** 2
         )
 
-        def fn(r):
-            rv, _, _ = self.rho_jet(r)
-            return rv**power * TWO_PI * np.sinh(r)
+        def fn(r, a, b):
+            return (a + b * self.C) ** power
 
-        return plateau + self._integrate_zones(fn)
+        return plateau + self.zones.integrate(fn)
 
     def ball_laplacian_integral(self):
-        def fn(r):
-            return self.laplacian(r) * TWO_PI * np.sinh(r)
-
-        return self._integrate_zones(fn)
+        return self.zones.integrate(lambda r, a, b: self.laplacian(r))
 
     def radial_segment_length(self):
         """Quadrature g-length of the radial segment r in [r1, eps/2]."""
-
-        def fn(r):
-            rv, _, _ = self.rho_jet(r)
-            return rv
-
-        return _simpson_log(fn, self.r1, 0.5 * self.eps, n=8193)
+        return _simpson_log(self.rho, self.r1, 0.5 * self.eps)
 
     def radial_length_bound(self):
         """Closed-form lower bound for the power-zone radial g-length."""
@@ -379,7 +368,7 @@ class _PowerSpike:
             slope = half_d * np.power(r, half_d - 1.0) / norm
             return slope * slope * TWO_PI * np.sinh(r)
 
-        return _simpson_log(fn, self.r1, 0.5 * self.eps, n=8193)
+        return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
     def annulus_area(self):
         """g-area of the ramp annulus [r1, eps/2].
@@ -390,10 +379,10 @@ class _PowerSpike:
         """
 
         def fn(r):
-            rv, _, _ = self.rho_jet(r)
+            rv = self.rho(r)
             return rv * rv * TWO_PI * np.sinh(r)
 
-        return _simpson_log(fn, self.r1, 0.5 * self.eps, n=8193)
+        return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
     def sampled_min_u(self):
         r = np.concatenate(
@@ -412,6 +401,31 @@ class _PowerSpike:
                 np.linspace(0.5 * self.eps, self.eps, 1025)[1:],
             ]
         )
+
+
+class _SpikeZones:
+    """The spike's zone grids, two in log r and one in r, with their C-free
+    columns: r, dr over the Simpson variable, sinh r, the Simpson weights
+    and rho = a + b C.  Built once per member, shared at every C."""
+
+    def __init__(self, spike):
+        r1, half, eps = spike.r1, 0.5 * spike.eps, spike.eps
+        self.grids = []
+        for x, log in (
+            (np.linspace(math.log(0.5 * r1), math.log(r1), 2049), True),
+            (np.linspace(math.log(r1), math.log(half), 2049), True),
+            (np.linspace(half, eps, 2049), False),
+        ):
+            r = np.exp(x) if log else x
+            (a, b), _, _ = spike.affine_jet(r)
+            self.grids.append((r, r if log else 1.0, np.sinh(r), _simpson_weights(x), a, b))
+
+    def integrate(self, fn):
+        """Sum over the zones of the integral of fn(r, a, b) 2 pi sinh r dr."""
+        total = 0.0
+        for r, dr, sinh, weights, a, b in self.grids:
+            total += _simpson_apply(weights, fn(r, a, b) * TWO_PI * sinh * dr)
+        return total
 
 
 def _spike_checks(surface, eps, delta, anchors):
@@ -447,13 +461,19 @@ class SpikeField(conformal.ScalarField):
     """One power spike rho(d_sigma(., a)) at each anchor a over the constant
     background C: one anchor makes the stretcher, two the dumbbell."""
 
-    def __init__(self, base_area, anchors, eps, delta, C):
+    def __init__(self, base_area, anchors, eps, delta, C, zones=None):
         self.base_area = float(base_area)
         self.anchors = tuple(complex(a) for a in anchors)
         self.eps = float(eps)
         self.delta = float(delta)
         self.C = float(C)
-        self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C)
+        self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C, zones)
+
+    def with_C(self, C):
+        """The same member over the constant C, sharing its zone table."""
+        return SpikeField(
+            self.base_area, self.anchors, self.eps, self.delta, C, self.spike.zones
+        )
 
     def _add_spikes(self, x, y, total, profile):
         """total plus profile(r) inside each anchor's eps-ball, r the
@@ -502,18 +522,18 @@ class SpikeField(conformal.ScalarField):
 def _spike_metric(surface, family, anchors, eps, delta, C):
     """The stretcher (one anchor) or dumbbell (two anchors) member."""
     _spike_checks(surface, eps, delta, anchors)
-    field = functools.partial(SpikeField, surface.total_area, anchors, eps, delta)
-    if C is None:
-        C = conformal.normalize_area_quadratic(
-            lambda c: field(c).exp_integral(2), surface.total_area
-        )
-    elif not C > 0.0:
+    if C is not None and not C > 0.0:
         # the area is quadratic in C, so a negative root normalizes it too
         raise UsageError(f"family '{family}': stored C={C!r} is not positive")
+    field = SpikeField(surface.total_area, anchors, eps, delta, 0.0)
+    if C is None:
+        C = conformal.normalize_area_quadratic(
+            lambda c: field.with_C(c).exp_integral(2), surface.total_area
+        )
     params = {"eps": eps, "delta": delta}
     for key, anchor in zip("pq", anchors):
         params[key] = [anchor.real, anchor.imag]
-    return conformal.make_metric(surface, field(C), family, params, C)
+    return conformal.make_metric(surface, field.with_C(C), family, params, C)
 
 
 def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
@@ -558,19 +578,19 @@ class RadialSlopeField(conformal.ScalarField):
 
     curvature_sign_certificate = True
 
-    def __init__(self, base_area, center, amplitude, C):
+    def __init__(self, base_area, center, amplitude, C, table=None):
         self.base_area = float(base_area)
         self.center = complex(center)
         self.amplitude = float(amplitude)
         self.C = float(C)
-        r = np.linspace(0.0, RADIAL_SUPPORT, 32769)
-        phi, _, _ = bump_jet(r, RADIAL_SUPPORT)
-        slope = -np.tanh(0.5 * r) * self.amplitude * phi
-        self._table_r = r
-        self._table_w = _cumulative_trapezoid(slope, r)
+        self.table = _RadialTable(self.amplitude) if table is None else table
+
+    def with_C(self, C):
+        """The same member over the constant C, sharing its table."""
+        return RadialSlopeField(self.base_area, self.center, self.amplitude, C, self.table)
 
     def _w(self, r):
-        return np.interp(np.asarray(r, dtype=float), self._table_r, self._table_w)
+        return np.interp(np.asarray(r, dtype=float), self.table.r, self.table.w)
 
     def _radial_laplacian(self, r):
         """L_sigma u = u'' + coth(r) u' = -s - tanh(r/2) s' as a function
@@ -590,19 +610,37 @@ class RadialSlopeField(conformal.ScalarField):
         return 1.0 + self._radial_laplacian(r)
 
     def bounds(self):
-        return self.C + float(self._table_w[-1]), self.C
+        return self.C + float(self.table.w[-1]), self.C
 
     def exp_integral(self, power):
-        w = self._table_w
-        r = self._table_r
-        inside = _simpson(np.exp(power * w) * TWO_PI * np.sinh(r), r)
+        w_end = float(self.table.w[-1])
         ball_sigma = 4.0 * math.pi * math.sinh(0.5 * RADIAL_SUPPORT) ** 2
-        outside = math.exp(power * float(w[-1])) * (self.base_area - ball_sigma)
-        return math.exp(power * self.C) * (inside + outside)
+        outside = math.exp(power * w_end) * (self.base_area - ball_sigma)
+        return math.exp(power * self.C) * (self.table.inside(power) + outside)
 
     def laplacian_integral(self):
-        r = self._table_r
+        r = self.table.r
         return _simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), r)
+
+
+class _RadialTable:
+    """u - C = w(r) on the radial grid: C-free, so built once per member
+    and shared by its fields at every C."""
+
+    def __init__(self, amplitude):
+        r = np.linspace(0.0, RADIAL_SUPPORT, 32769)
+        phi, _, _ = bump_jet(r, RADIAL_SUPPORT)
+        slope = -np.tanh(0.5 * r) * amplitude * phi
+        self.r = r
+        self.w = _cumulative_trapezoid(slope, r)
+        self._inside = {}
+
+    def inside(self, power):
+        """Integral of e^{power w} over the support ball, once per power."""
+        if power not in self._inside:
+            y = np.exp(power * self.w) * TWO_PI * np.sinh(self.r)
+            self._inside[power] = _simpson(y, self.r)
+        return self._inside[power]
 
 
 def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.ConformalMetric:
@@ -618,16 +656,16 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
             "origin so the support ball embeds"
         )
 
-    field = functools.partial(RadialSlopeField, surface.total_area, cz, amplitude)
+    field = RadialSlopeField(surface.total_area, cz, amplitude, 0.0)
     if C is None:
-        # area(C) = e^{2C} * area(0) exactly, so the table is built once
-        area0 = field(0.0).exp_integral(2)
+        # area(C) = e^{2C} * area(0) exactly, so one quadrature serves the solve
+        area0 = field.exp_integral(2)
         C = conformal.normalize_area(
             lambda c: math.exp(2 * c) * area0, surface.total_area, -1.0, 1.0
         )
     metric = conformal.make_metric(
         surface,
-        field(C),
+        field.with_C(C),
         "nonpositive_radial",
         {"center": [cz.real, cz.imag], "amplitude": amplitude},
         C,

@@ -119,6 +119,17 @@ def test_metric_make_infeasible_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_metric_make_overflowing_shrinker_depth_exit_two(tmp_path, capsys):
+    desc = tmp_path / "shrinker.json"
+    code = main([
+        "metric", "make", "--family", "shrinker",
+        "--eps", "1e-308", "--delta", "0.1", "--out", str(desc),
+    ])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not desc.exists()
+
+
 def test_spectrum_writes_csv(tmp_path):
     desc = tmp_path / "base.json"
     assert main(["metric", "make", "--family", "base", "--out", str(desc)]) == 0

@@ -16,6 +16,7 @@ from conformal_lab.conformal import (
     gauss_bonnet,
     make_metric,
     nonpositivity_check,
+    normalize_area,
     normalize_area_quadratic,
     schwarz_upper_bound,
     to_descriptor,
@@ -75,6 +76,30 @@ def test_make_metric_rejects_area_mismatch(surface):
     field = ConstantField(0.1, surface.total_area)
     with pytest.raises(NormalizationError):
         make_metric(surface, field, "base", {}, 0.1)
+
+
+class _NanAreaField(ConstantField):
+    def exp_integral(self, power):
+        return math.nan
+
+
+def test_make_metric_rejects_a_nan_area(surface):
+    with pytest.raises(NormalizationError, match="nan"):
+        make_metric(surface, _NanAreaField(0.0, surface.total_area), "base", {}, 0.0)
+
+
+@pytest.mark.parametrize(
+    "area_of_C",
+    [
+        lambda c: math.nan,
+        lambda c: math.nan if c < 0.0 else 2.0,
+        lambda c: 0.0 if c < 0.0 else math.nan,
+    ],
+    ids=["both-ends", "low-end", "high-end"],
+)
+def test_normalize_area_rejects_a_nan_bracket(area_of_C):
+    with pytest.raises(NormalizationError, match="no normalization bracket"):
+        normalize_area(area_of_C, 1.0, -1.0, 1.0)
 
 
 def test_total_area_methods_agree(surface, mesh3):

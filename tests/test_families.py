@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from conformal_lab import conformal, families
+from conformal_lab import conformal, entropy, families
 from conformal_lab.errors import DomainError, ParameterError, RangeError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
@@ -134,6 +136,13 @@ def test_shrinker_parameter_guards(surface):
         systole_shrinker(surface, 0.2, 0.0)
     with pytest.raises(ParameterError):
         systole_shrinker(surface, 0.2, 0.5)  # beyond embedded collar
+
+
+@pytest.mark.parametrize("eps", [1e-308, 5e-324])
+def test_shrinker_rejects_an_overflowing_depth(surface, eps):
+    # systole/eps overflows to inf, which would make the area NaN
+    with pytest.raises(ParameterError, match="overflows"):
+        systole_shrinker(surface, eps, 0.1)
 
 
 @pytest.mark.parametrize("eps", [SYSTOLE, 0.2, 1e-5])
@@ -371,6 +380,119 @@ def test_shrinker_collar_quadratures_are_pinned(surface, eps, delta, C_repr, are
     assert repr(metric.C) == C_repr
     assert repr(metric.area) == area_repr
     assert repr(metric.field.laplacian_integral()) == lap_repr
+
+
+@pytest.mark.parametrize(
+    "family, params, C_repr, area_repr, mean_repr, lap_repr, lo_repr, hi_repr",
+    [
+        ("stretcher", {"eps": 0.2, "delta": 0.2},
+         "0.9615219093573285", "12.566370614359176", "12.212893462060398",
+         "-4.440892098500626e-15", "-0.039237927569826865", "3.85622483502636"),
+        ("stretcher", {"eps": 0.2, "delta": 0.1},
+         "0.9619347762976928", "12.566370614359172", "12.16414778640562",
+         "-1.8118839761882555e-13", "-0.041029974780917244", "8.429179349124682"),
+        ("stretcher", {"eps": 0.2, "delta": 0.05},
+         "0.9621985698065106", "12.566370614359174", "12.126381895111198",
+         "-5.078604203845316e-12", "-0.16084054357665695", "18.042369811033858"),
+        ("stretcher", {"eps": 0.2, "delta": 0.01},
+         "0.9625259206253032", "12.566370614359176", "12.073516744851014",
+         "-4.829382227455881e-09", "-0.8449759855133492", "97.20546209656813"),
+        ("stretcher", {"eps": 0.1, "delta": 0.2},
+         "0.9639873353538859", "12.566370614359176", "12.195410710648524",
+         "0.0", "-0.03667712205759386", "3.9255395530823547"),
+        ("stretcher", {"eps": 0.1, "delta": 0.1},
+         "0.9618816864443621", "12.566370614359176", "12.142608822384178",
+         "-3.108624468950438e-14", "-0.038863822944032324", "8.46383670815268"),
+        ("stretcher", {"eps": 0.1, "delta": 0.05},
+         "0.9610333578744882", "12.566370614359178", "12.111456631195596",
+         "-1.056932319443149e-12", "-0.0397461589862998", "18.059698490547856"),
+        ("stretcher", {"eps": 0.1, "delta": 0.01},
+         "0.9604918752328666", "12.566370614359174", "12.07621262781608",
+         "-1.166469587587926e-09", "-0.23869429268999398", "97.20892783247093"),
+        ("dumbbell", {"eps": 0.2, "delta": 0.2},
+         "0.9210042959415031", "12.566370614359174", "11.839595006839527",
+         "-8.881784197001252e-15", "-0.08229057830610916", "3.85622483502636"),
+        ("dumbbell", {"eps": 0.2, "delta": 0.1},
+         "0.9218409116447694", "12.566370614359178", "11.742179657244955",
+         "-3.588240815588506e-13", "-0.08181285436831172", "8.429179349124682"),
+        ("dumbbell", {"eps": 0.2, "delta": 0.05},
+         "0.9223744471535519", "12.566370614359174", "11.666683958775542",
+         "-1.0153655694011832e-11", "-0.17937275234522115", "18.042369811033858"),
+        ("dumbbell", {"eps": 0.2, "delta": 0.01},
+         "0.9230355489382344", "12.566370614359174", "11.560986242529324",
+         "-9.658764454911761e-09", "-0.8473204164580532", "97.20546209656813"),
+        ("dumbbell", {"eps": 0.1, "delta": 0.2},
+         "0.9264980461225305", "12.566370614359178", "11.807236493891214",
+         "-7.105427357601002e-15", "-0.07634334213910762", "3.9255395530823547"),
+        ("dumbbell", {"eps": 0.1, "delta": 0.1},
+         "0.9220918322305325", "12.566370614359176", "11.699265652065344",
+         "-6.217248937900877e-14", "-0.08111045926769102", "8.46383670815268"),
+        ("dumbbell", {"eps": 0.1, "delta": 0.05},
+         "0.920308833257551", "12.566370614359172", "11.635909712009775",
+         "-2.1174173525650986e-12", "-0.0830459769463453", "18.059698490547856"),
+        ("dumbbell", {"eps": 0.1, "delta": 0.01},
+         "0.9191627279428165", "12.56637061435918", "11.564649899742241",
+         "-2.3329373988190127e-09", "-0.252323575900618", "97.20892783247093"),
+        ("nonpositive_radial", {"amplitude": 0.25},
+         "0.043852660252014175", "12.566370614497187", "12.565457510802785",
+         "0.0", "-0.005648346220564031", "0.043852660252014175"),
+        ("nonpositive_radial", {"amplitude": 0.5},
+         "0.08740686773671769", "12.566370614398073", "12.562620706025356",
+         "0.0", "-0.011595145208438726", "0.08740686773671769"),
+        ("nonpositive_radial", {"amplitude": 0.75},
+         "0.13064666363061406", "12.566370614397234", "12.557709785799878",
+         "-1.1102230246251565e-16", "-0.01785635578712136", "0.13064666363061406"),
+        ("nonpositive_radial", {"amplitude": 1.0},
+         "0.1735555014165584", "12.566370614330037", "12.550569121992329",
+         "0.0", "-0.024448524473754424", "0.1735555014165584"),
+    ],
+)
+def test_spike_and_radial_quadratures_are_pinned(surface, family, params, C_repr,
+                                                 area_repr, mean_repr, lap_repr,
+                                                 lo_repr, hi_repr):
+    # the default grid's stretcher, dumbbell and radial chart quadratures,
+    # bit for bit
+    metric = families.make(surface, family, **params)
+    field = metric.field
+    assert repr(metric.C) == C_repr
+    assert repr(field.exp_integral(2)) == area_repr
+    assert repr(field.exp_integral(1)) == mean_repr
+    assert repr(field.laplacian_integral()) == lap_repr
+    assert tuple(map(repr, field.bounds())) == (lo_repr, hi_repr)
+
+
+#: bump_jet points over make and katok_bounds: the C-free table once,
+#: 3 zones x 2049 radii x 2 bumps, plus the bounds scan of 8194 radii x 2
+#: bumps (spike); 32769 table radii plus the 20001-point sign scan (radial)
+TABLE_POINTS = {
+    "stretcher": ({"eps": 0.2, "delta": 0.05}, 28_682),
+    "dumbbell": ({"eps": 0.1, "delta": 0.01}, 28_682),
+    "nonpositive_radial": ({"amplitude": 0.75, "center": [0.05, -0.1]}, 52_770),
+}
+
+
+@pytest.mark.parametrize("family", TABLE_POINTS)
+def test_each_member_builds_its_table_once(surface, monkeypatch, family):
+    params, budget = TABLE_POINTS[family]
+    points = []
+
+    def counting(x, a):
+        points.append(np.size(x))
+        return bump_jet(x, a)
+
+    monkeypatch.setattr(families, "bump_jet", counting)
+    entropy.katok_bounds(families.make(surface, family, **params))
+    assert sum(points) <= budget
+
+
+@pytest.mark.parametrize("family", TABLE_POINTS)
+def test_member_table_dies_with_the_member(surface, family):
+    metric = families.make(surface, family, **TABLE_POINTS[family][0])
+    field = metric.field
+    table = weakref.ref(field.table if family == "nonpositive_radial" else field.spike.zones)
+    del metric, field
+    gc.collect()
+    assert table() is None
 
 
 CONTRACT_PARAMS = {

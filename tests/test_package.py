@@ -92,6 +92,37 @@ def test_cli_runs_load_no_unused_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+#: one failing property test and one passing test, run under the
+#: project's own pytest settings
+HYPOTHESIS_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
+    """With warnings as errors, the DeprecationWarning that hypothesis's
+    report hook raises on a failure must not stop pytest with INTERNALERROR."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(HYPOTHESIS_PROBE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", str(probe)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    output = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output
+
+
 def _subparser(parser, name):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices[name]
