@@ -30,7 +30,8 @@ class ScalarField:
 
     A family supplies u, its Laplacian, its extrema and two chart
     quadratures; the curvature, area, Gauss-Bonnet and entropy checks read
-    nothing else.
+    nothing else.  A family field also gives with_C(C), the same member at
+    another C, and owns the C-free table that it shares; ConstantField needs neither.
     """
 
     #: True when the family proves 1 + L_sigma u >= 0 by construction.
@@ -156,19 +157,20 @@ def make_metric(surface, field, family, params, C):
     )
 
 
-def base_metric(surface: HyperbolicSurface) -> ConformalMetric:
-    field = ConstantField(0.0, surface.total_area)
-    return make_metric(surface, field, "base", {}, 0.0)
+def base_metric(surface: HyperbolicSurface, C=0.0) -> ConformalMetric:
+    """sigma as the constant field u = C; its area check, like every
+    family's, rejects a stored C that does not normalize the area."""
+    return make_metric(surface, ConstantField(C, surface.total_area), "base", {}, C)
 
 
 def normalize_area(area_of_C, target, lo, hi):
     """Solve area(C) = target for the normalization constant by bisection.
 
-    area_of_C must be continuous and increasing on [lo, hi], and the bracket
-    must straddle the target.  The shrinker bisects on its zone quadrature;
-    the radial family on e^{2C} times its C-free area.  The spike families
-    (stretcher, dumbbell) have a quadratic area and use
-    normalize_area_quadratic instead.
+    area_of_C must be continuous and increasing on [lo, hi].  A bracket
+    whose ends do not straddle the target, a NaN area among them, is a
+    NormalizationError, and so is a bisection that has not narrowed the
+    bracket below NORMALIZE_TOL after NORMALIZE_MAX_ITER steps.  The
+    returned C is an exact root or the midpoint of the last bracket.
     """
     f_lo = area_of_C(lo) - target
     f_hi = area_of_C(hi) - target

@@ -15,18 +15,20 @@ with s1 = (a - |t|)/(a/2) and s2 = (|t| - a/2)/(a/2): identically 1 on
 [-a/2, a/2], identically 0 outside (-a, a).  Its first two derivatives
 come from the same closed forms, so curvature formulas are analytic.
 
-Each family solves area(C) = area(sigma) for its normalization constant on
-the exact (zone-quadrature) area functional, then freezes the constant
-into the emitted descriptor so reloads skip the solve:
+Every builder takes a stored normalization constant C or solves
+area(C) = area(sigma) for one through field.with_C(c).exp_integral(2), on
+the exact zone-quadrature area; conformal.make_metric checks the area at
+that C.  Each member builds its C-free table once and with_C shares it:
 
 - shrinker: bisection on the collar quadrature;
 - stretcher, dumbbell: the area is quadratic in C, so three quadratures
   and the positive root (conformal.normalize_area_quadratic);
-- nonpositive_radial: the area is e^{2C} times the area at C = 0, so one
-  quadrature and a bisection on that product.
+- nonpositive_radial: bisection on e^{2C} times a C-free ball integral
+  that the table keeps.
+
+conformal.nonpositivity_check alone decides the curvature sign.
 """
 
-import functools
 import math
 import numbers
 import sys
@@ -35,7 +37,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import conformal
-from .errors import ConstructionError, NormalizationError, ParameterError, UsageError
+from .errors import NormalizationError, ParameterError, UsageError
 from .hyp import (
     DiskPoint,
     _as_complex,
@@ -149,33 +151,34 @@ def _simpson_log(fn, lo, hi, n=8193):
 MIN_COLLAR_DELTA = 1e-10
 
 
-@functools.lru_cache(maxsize=1)
-def _collar_table(delta):
-    """(phi, phi', phi'', cosh r, tanh r) on the collar quadrature grid,
-    and the grid's Simpson weights.
+class _CollarTable:
+    """phi, phi', phi'', cosh r and tanh r on the collar grid [0, delta],
+    with its Simpson weights: C-free, so built once per member and shared
+    by its fields at every C."""
 
-    Read-only and cached for the last delta, so the normalization
-    bisection of one shrinker evaluates the bump and the weights once.
-    """
-    r = np.linspace(0.0, delta, 4097)
-    columns = (*bump_jet(r, delta), np.cosh(r), np.tanh(r))
-    weights = _simpson_weights(r)
-    for column in (*columns, *weights):
-        column.flags.writeable = False
-    return (*columns, weights)
+    def __init__(self, delta):
+        r = np.linspace(0.0, delta, 4097)
+        self.phi, self.d1, self.d2 = bump_jet(r, delta)
+        self.cosh, self.tanh = np.cosh(r), np.tanh(r)
+        self.weights = _simpson_weights(r)
 
 
 class ShrinkerField(conformal.ScalarField):
     """u = -log(sys/eps) * phi(|r|; delta) + C (1 - phi), |r| the collar
     coordinate (signed distance from the systole geodesic)."""
 
-    def __init__(self, sys_length, base_area, eps, delta, C):
+    def __init__(self, sys_length, base_area, eps, delta, C, table=None):
         self.sys = float(sys_length)
         self.base_area = float(base_area)
         self.eps = float(eps)
         self.delta = float(delta)
         self.C = float(C)
         self.depth = math.log(self.sys / self.eps)  # u on the geodesic is -depth
+        self.table = _CollarTable(self.delta) if table is None else table
+
+    def with_C(self, C):
+        """The same member over the constant C, sharing its table."""
+        return ShrinkerField(self.sys, self.base_area, self.eps, self.delta, C, self.table)
 
     def _profile_jet(self, r_abs):
         phi, d1, d2 = bump_jet(r_abs, self.delta)
@@ -199,17 +202,17 @@ class ShrinkerField(conformal.ScalarField):
         return min(-self.depth, self.C), max(-self.depth, self.C)
 
     def exp_integral(self, power):
-        phi, _, _, cosh, _, weights = _collar_table(self.delta)
-        v = self.C - (self.depth + self.C) * phi
-        collar = 2.0 * self.sys * _simpson_apply(weights, np.exp(power * v) * cosh)
+        t = self.table
+        v = self.C - (self.depth + self.C) * t.phi
+        collar = 2.0 * self.sys * _simpson_apply(t.weights, np.exp(power * v) * t.cosh)
         outside = self.base_area - 2.0 * self.sys * math.sinh(self.delta)
         return collar + math.exp(power * self.C) * outside
 
     def laplacian_integral(self):
-        _, d1, d2, cosh, tanh, weights = _collar_table(self.delta)
+        t = self.table
         amp = self.depth + self.C
-        lap = (-amp * d2 + tanh * (-amp * d1)) * cosh
-        return 2.0 * self.sys * _simpson_apply(weights, lap)
+        lap = (-amp * t.d2 + t.tanh * (-amp * t.d1)) * t.cosh
+        return 2.0 * self.sys * _simpson_apply(t.weights, lap)
 
     def sign_probe_points(self):
         z = fermi_points(np.linspace(0.0, self.delta, 2049), 0.0)
@@ -240,13 +243,13 @@ def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
             f"the surface area {surface.total_area:.4f}"
         )
 
-    field = functools.partial(ShrinkerField, sys_length, surface.total_area, eps, delta)
+    field = ShrinkerField(sys_length, surface.total_area, eps, delta, 0.0)
     if C is None:
         C = conformal.normalize_area(
-            lambda c: field(c).exp_integral(2), surface.total_area, -1.0, 1.0
+            lambda c: field.with_C(c).exp_integral(2), surface.total_area, -1.0, 1.0
         )
     return conformal.make_metric(
-        surface, field(C), "shrinker", {"eps": eps, "delta": delta}, C
+        surface, field.with_C(C), "shrinker", {"eps": eps, "delta": delta}, C
     )
 
 
@@ -622,6 +625,11 @@ class RadialSlopeField(conformal.ScalarField):
         r = self.table.r
         return _simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), r)
 
+    def sign_probe_points(self):
+        # the field is radial: one ray past the support sees every value
+        ray = polar_points(self.center, np.linspace(0.0, RADIAL_SUPPORT + 0.1, 20001))
+        return ray.real, ray.imag
+
 
 class _RadialTable:
     """u - C = w(r) on the radial grid: C-free, so built once per member
@@ -658,24 +666,16 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 
     field = RadialSlopeField(surface.total_area, cz, amplitude, 0.0)
     if C is None:
-        # area(C) = e^{2C} * area(0) exactly, so one quadrature serves the solve
-        area0 = field.exp_integral(2)
         C = conformal.normalize_area(
-            lambda c: math.exp(2 * c) * area0, surface.total_area, -1.0, 1.0
+            lambda c: field.with_C(c).exp_integral(2), surface.total_area, -1.0, 1.0
         )
-    metric = conformal.make_metric(
+    return conformal.make_metric(
         surface,
         field.with_C(C),
         "nonpositive_radial",
         {"center": [cz.real, cz.imag], "amplitude": amplitude},
         C,
     )
-    scan = metric.field.curvature_excess(np.linspace(0.0, RADIAL_SUPPORT + 0.1, 20001))
-    if float(np.min(scan)) < -1e-12:
-        raise ConstructionError(
-            f"radial curvature constraint violated: min(1 + lap u) = {np.min(scan):.3e}"
-        )
-    return metric
 
 
 # ---------------------------------------------------------------------------
@@ -685,14 +685,13 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 class Family(NamedTuple):
     """How one family is built and which parameters it takes."""
 
-    build: Callable        # build(surface, **params[, C]) -> ConformalMetric
-    required: tuple        # parameter names without a default
-    optional: dict         # parameter name -> default
-    stores_C: bool = True  # descriptors carry the normalization constant
+    build: Callable   # build(surface, **params[, C]) -> ConformalMetric
+    required: tuple   # parameter names without a default
+    optional: dict    # parameter name -> default
 
 
 FAMILIES = {
-    "base": Family(conformal.base_metric, (), {}, stores_C=False),
+    "base": Family(conformal.base_metric, (), {}),
     "shrinker": Family(systole_shrinker, ("eps", "delta"), {}),
     "stretcher": Family(diameter_stretcher, ("eps", "delta"), {"p": 0j}),
     "dumbbell": Family(dumbbell, ("eps", "delta"), {"p": None, "q": None}),
@@ -774,8 +773,6 @@ def make(surface, /, family, C=None, **params):
     params = {key: _checked(family, key, value) for key, value in params.items()}
     if C is None:
         return spec.build(surface, **{**spec.optional, **params})
-    if not spec.stores_C:
-        raise UsageError(f"family '{family}' takes no constant 'C'")
     params["C"] = _checked(family, "C", C)
     try:
         return spec.build(surface, **{**spec.optional, **params})
@@ -796,11 +793,8 @@ def from_descriptor(doc, surface=None):
     if not isinstance(params, dict):
         raise UsageError(f"descriptor params of family '{family}' are not an object")
     _check_names(family, spec, params, complete=True)
-    if spec.stores_C and doc.get("C") is None:
+    if doc.get("C") is None:
         raise UsageError(f"descriptor of family '{family}' has no constant 'C'")
     return make(
-        surface if surface is not None else HyperbolicSurface(),
-        family,
-        C=doc["C"] if spec.stores_C else None,
-        **params,
+        surface if surface is not None else HyperbolicSurface(), family, C=doc["C"], **params
     )

@@ -54,6 +54,7 @@ GLUE_VALUE_TOL = 1e-8  # max disagreement of u across raw copies of a vertex
 SHIFT = -1e-3          # ARPACK shift: factor K - SHIFT * M
 DISSECTION_LEAF = 64   # index sets this small are not split further
 ARPACK_MAXITER = 500   # Arnoldi restarts before the eigensolve gives up
+RESIDUAL_TOL = 1e-8    # a pair's residual may reach this times 1 + lambda
 
 
 def cotangent_stiffness(mesh) -> sp.csr_matrix:
@@ -183,10 +184,12 @@ def assemble(metric, mesh) -> SpectralSystem:
     for local in range(3):
         idx = mesh.tris[:, local]
         np.add.at(mass, mesh.rep[idx], third * weight[idx])
-    if not np.all(mass > 0.0) or not np.all(np.isfinite(mass)):
+    finite = np.all(np.isfinite(mass))
+    if not (finite and np.all(mass > 0.0)):
         raise NumericError(
-            f"mass lumping produced a nonpositive or nonfinite entry "
-            f"(min {mass.min():.3e}); the conformal factor overflows this mesh"
+            f"mass lumping produced a {'zero' if finite else 'nonfinite'} entry "
+            f"(min {mass.min():.3e}); the conformal factor "
+            f"{'underflows' if finite else 'overflows'} this mesh"
         )
     return SpectralSystem(stiffness=K, mass=mass, u=u, mesh=mesh)
 
@@ -234,7 +237,8 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
 
     The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
     The other k are solved on the M-orthogonal complement of the
-    constants and clipped at 0.
+    constants and clipped at 0.  A pair whose residual exceeds
+    RESIDUAL_TOL * (1 + lambda), on either path, is a NumericError.
     """
     n = system.mesh.n_rep
     if k < 0:
@@ -310,6 +314,12 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
     vals = np.concatenate(([0.0], np.maximum(vals, 0.0)))
     vecs = np.column_stack((np.full(n, 1.0 / math.sqrt(total_mass)), vecs))
     weighted, scaled = _residuals(K, mass, vals, vecs)
+    bad = np.flatnonzero(~(weighted <= RESIDUAL_TOL * (1.0 + vals)))  # NaN fails too
+    if bad.size:
+        raise NumericError(
+            f"eigenpair {bad[0]} has residual {weighted[bad[0]]:.3e}, above "
+            f"{RESIDUAL_TOL} * (1 + lambda) at lambda = {vals[bad[0]]:.6g}"
+        )
     return SpectralResult(
         eigenvalues=vals,
         vectors=vecs,

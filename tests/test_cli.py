@@ -234,6 +234,67 @@ def test_verify_stored_negative_root_exit_two(surface, tmp_path, capsys):
     assert "is not positive" in capsys.readouterr().err
 
 
+def test_verify_base_stored_constant_is_checked(tmp_path, capsys):
+    """base follows the stored-C protocol: a C that misses the area exits 2
+    (it was ignored, and the report passed)."""
+    desc = tmp_path / "base.json"
+    rep = tmp_path / "report.json"
+    desc.write_text(json.dumps({
+        "version": 1, "family": "base", "params": {}, "C": 0.5,
+        "area": 99, "min_u": 3, "max_u": 7,
+    }))
+    assert main([
+        "verify", "--metric", str(desc), "--level", "2", "--k", "2",
+        "--report", str(rep),
+    ]) == 2
+    assert "stored C=0.5 does not normalize the area" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_verify_base_without_constant_exit_two(tmp_path, capsys):
+    desc = tmp_path / "base.json"
+    desc.write_text(json.dumps({"version": 1, "family": "base", "params": {}}))
+    assert main(["verify", "--metric", str(desc), "--level", "2"]) == 2
+    assert "'base' has no constant 'C'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--level", "3"], ["spectrum", "--k", "2", "--level", "3"],
+])
+def test_underflowing_conformal_factor_exit_three(tmp_path, capsys, command):
+    # u = -log(systole/eps) ~ -690 on the systole: e^{2u} underflows to 0
+    desc = tmp_path / "shrinker.json"
+    assert main([
+        "metric", "make", "--family", "shrinker", "--eps", "1e-300",
+        "--delta", "1e-10", "--out", str(desc),
+    ]) == 0
+    capsys.readouterr()
+    assert main([*command, "--metric", str(desc)]) == 3
+    err = capsys.readouterr().err
+    assert "(min 0.000e+00); the conformal factor underflows this mesh" in err
+
+
+def test_failing_verify_exits_one_and_names_its_failures(tmp_path, capsys):
+    # no level-1 mesh vertex reaches the default dumbbell's anchors
+    desc = tmp_path / "dumbbell.json"
+    rep = tmp_path / "report.json"
+    assert main([
+        "metric", "make", "--family", "dumbbell", "--eps", "0.2",
+        "--delta", "0.1", "--out", str(desc),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "verify", "--metric", str(desc), "--level", "1", "--report", str(rep),
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "report FAIL" in out
+    assert (
+        "  FAIL dumbbell_lambda1_bound: nan == nan margin nan DomainError: "
+        "no level-1 mesh vertex lies within eps/2" in out
+    )
+    assert json.loads(rep.read_text())["passed"] is False
+
+
 def test_verify_k_below_one_exit_two(tmp_path, capsys):
     desc = tmp_path / "dumbbell.json"
     rep = tmp_path / "report.json"

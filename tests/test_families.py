@@ -462,12 +462,13 @@ def test_spike_and_radial_quadratures_are_pinned(surface, family, params, C_repr
 
 
 #: bump_jet points over make and katok_bounds: the C-free table once,
-#: 3 zones x 2049 radii x 2 bumps, plus the bounds scan of 8194 radii x 2
-#: bumps (spike); 32769 table radii plus the 20001-point sign scan (radial)
+#: 4097 collar radii (shrinker); 3 zones x 2049 radii x 2 bumps, plus the
+#: bounds scan of 8194 radii x 2 bumps (spike); 32769 table radii (radial)
 TABLE_POINTS = {
+    "shrinker": ({"eps": 0.2, "delta": 0.1}, 4_097),
     "stretcher": ({"eps": 0.2, "delta": 0.05}, 28_682),
     "dumbbell": ({"eps": 0.1, "delta": 0.01}, 28_682),
-    "nonpositive_radial": ({"amplitude": 0.75, "center": [0.05, -0.1]}, 52_770),
+    "nonpositive_radial": ({"amplitude": 0.75, "center": [0.05, -0.1]}, 32_769),
 }
 
 
@@ -489,7 +490,7 @@ def test_each_member_builds_its_table_once(surface, monkeypatch, family):
 def test_member_table_dies_with_the_member(surface, family):
     metric = families.make(surface, family, **TABLE_POINTS[family][0])
     field = metric.field
-    table = weakref.ref(field.table if family == "nonpositive_radial" else field.spike.zones)
+    table = weakref.ref(field.spike.zones if family in ("stretcher", "dumbbell") else field.table)
     del metric, field
     gc.collect()
     assert table() is None
@@ -535,6 +536,23 @@ def test_radial_bounds_and_sign(surface):
     assert excess.min() >= 0.0
     # Full amplitude touches zero at the center.
     assert metric.field.curvature_excess(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("center", [0j, 0.05 - 0.1j])
+@pytest.mark.parametrize("amp", [0.25, 0.6, 1.0])
+def test_radial_sign_probes_are_a_ray_and_keep_the_plateau_minimum(surface, mesh3,
+                                                                    amp, center):
+    metric = families.make(surface, "nonpositive_radial", amplitude=amp, center=center)
+    x, y = metric.field.sign_probe_points()
+    assert len(x) > 0
+    r = distances_to(x, y, center)
+    assert r[0] == pytest.approx(0.0, abs=1e-12)
+    assert r[-1] == pytest.approx(families.RADIAL_SUPPORT + 0.1, rel=1e-12)
+    assert np.all(np.diff(r) > 0.0)
+    # every probe lies on the geodesic segment from the first to the last
+    to_end = distances_to(x, y, complex(x[-1], y[-1]))
+    np.testing.assert_allclose(r + to_end, r[-1], rtol=0.0, atol=1e-9)
+    assert conformal.nonpositivity_check(metric, mesh3).min_excess == 1.0 - amp
 
 
 def test_radial_area_normalized(surface):

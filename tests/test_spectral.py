@@ -14,7 +14,13 @@ import scipy.sparse as sp
 
 from conformal_lab import build_mesh, families, spectral
 from conformal_lab.conformal import base_metric
-from conformal_lab.errors import ConstructionError, DomainError, ParameterError, UsageError
+from conformal_lab.errors import (
+    ConstructionError,
+    DomainError,
+    NumericError,
+    ParameterError,
+    UsageError,
+)
 from conformal_lab.report import default_sweep_grid
 from conformal_lab.spectral import (
     SHIFT,
@@ -151,6 +157,27 @@ def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
     np.testing.assert_allclose(
         res.eigenvalues, _dense_oracle(system, k), rtol=1e-10, atol=1e-10
     )
+
+
+@pytest.mark.parametrize("path", ["arpack", "dense"])
+def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypatch,
+                                                 path):
+    # one component of each returned vector off by 1e-3: the residual gate,
+    # not the caller, must notice
+    module, name = (sp.linalg, "eigsh") if path == "arpack" else (la, "eigh")
+    solver = getattr(module, name)
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = solver(*args, **kwargs)
+        vecs = vecs.copy()
+        vecs[0] += 1e-3
+        return vals, vecs
+
+    monkeypatch.setattr(module, name, perturbed)
+    mesh = mesh3 if path == "arpack" else mesh2
+    system = assemble(base_metric(surface), mesh)
+    with pytest.raises(NumericError, match="residual"):
+        eigenvalues(system, 2 if path == "arpack" else mesh.n_rep - 2)
 
 
 def test_eigenvalues_repeat_bit_for_bit_level5(surface):
