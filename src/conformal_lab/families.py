@@ -625,11 +625,6 @@ class RadialSlopeField(conformal.ScalarField):
         r = self.table.r
         return _simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), r)
 
-    def sign_probe_points(self):
-        # the field is radial: one ray past the support sees every value
-        ray = polar_points(self.center, np.linspace(0.0, RADIAL_SUPPORT + 0.1, 20001))
-        return ray.real, ray.imag
-
 
 class _RadialTable:
     """u - C = w(r) on the radial grid: C-free, so built once per member

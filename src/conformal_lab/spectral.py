@@ -54,7 +54,8 @@ GLUE_VALUE_TOL = 1e-8  # max disagreement of u across raw copies of a vertex
 SHIFT = -1e-3          # ARPACK shift: factor K - SHIFT * M
 DISSECTION_LEAF = 64   # index sets this small are not split further
 ARPACK_MAXITER = 500   # Arnoldi restarts before the eigensolve gives up
-RESIDUAL_TOL = 1e-8    # a pair's residual may reach this times 1 + lambda
+RESIDUAL_TOL = 1e-8    # a pair's residual may reach this times 1 + lambda,
+ROUNDING_SLACK = 1e3   # plus this many times its own rounding floor
 
 
 def cotangent_stiffness(mesh) -> sp.csr_matrix:
@@ -211,25 +212,30 @@ class SpectralResult:
 
 
 def _residuals(K, mass, vals, vecs):
-    """(residual, backward error) of each computed pair (lambda, v).
+    """(residual, backward error, rounding floor) of each pair (lambda, v).
 
-    The residual is ||K v - lambda M v||_{M^-1} / ||v||_M: by Weinstein's
-    bound the pencil has an eigenvalue within that distance of lambda
-    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).  The backward
-    error scales the Euclidean residual by the matrix norms.
+    The residual is ||K v - lambda M v||_{M^-1} / ||v||_M: by Weinstein's bound
+    the pencil has an eigenvalue within that distance of lambda (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998).  The backward error scales the
+    Euclidean residual by the matrix norms.  The floor, the unit roundoff times
+    that norm of |K| |v| + lambda M |v|, is what rounding alone leaves there:
+    K ignores u, while the norm divides by masses that a small eps shrinks.
     """
-    norm_K = float(np.max(np.abs(K).sum(axis=1)))
+    abs_K = np.abs(K)
+    norm_K = float(np.max(abs_K.sum(axis=1)))
     norm_M = float(np.max(mass))
-    weighted = np.empty(len(vals))
-    scaled = np.empty(len(vals))
+    weighted, scaled, floor = (np.empty(len(vals)) for _ in range(3))
     for j, lam in enumerate(vals):
         v = vecs[:, j]
+        v_sq = float(v @ (mass * v))
         r = K @ v - lam * (mass * v)
-        weighted[j] = math.sqrt(float(r @ (r / mass)) / float(v @ (mass * v)))
+        f = abs_K @ np.abs(v) + lam * (mass * np.abs(v))
+        weighted[j] = math.sqrt(float(r @ (r / mass)) / v_sq)
+        floor[j] = np.finfo(float).eps * math.sqrt(float(f @ (f / mass)) / v_sq)
         scaled[j] = float(np.linalg.norm(r)) / (
             (norm_K + abs(lam) * norm_M) * float(np.linalg.norm(v))
         )
-    return weighted, scaled
+    return weighted, scaled, floor
 
 
 def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
@@ -237,8 +243,8 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
 
     The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
     The other k are solved on the M-orthogonal complement of the
-    constants and clipped at 0.  A pair whose residual exceeds
-    RESIDUAL_TOL * (1 + lambda), on either path, is a NumericError.
+    constants and clipped at 0.  On either path a pair whose residual exceeds
+    RESIDUAL_TOL * (1 + lambda) + ROUNDING_SLACK * floor is a NumericError.
     """
     n = system.mesh.n_rep
     if k < 0:
@@ -313,13 +319,11 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
 
     vals = np.concatenate(([0.0], np.maximum(vals, 0.0)))
     vecs = np.column_stack((np.full(n, 1.0 / math.sqrt(total_mass)), vecs))
-    weighted, scaled = _residuals(K, mass, vals, vecs)
-    bad = np.flatnonzero(~(weighted <= RESIDUAL_TOL * (1.0 + vals)))  # NaN fails too
-    if bad.size:
-        raise NumericError(
-            f"eigenpair {bad[0]} has residual {weighted[bad[0]]:.3e}, above "
-            f"{RESIDUAL_TOL} * (1 + lambda) at lambda = {vals[bad[0]]:.6g}"
-        )
+    weighted, scaled, floor = _residuals(K, mass, vals, vecs)
+    bound = RESIDUAL_TOL * (1.0 + vals) + ROUNDING_SLACK * floor
+    for i in np.flatnonzero(~(weighted <= bound)):  # NaN fails too
+        raise NumericError(f"eigenpair {i} has residual {weighted[i]:.3e} at lambda = "
+                           f"{vals[i]:.6g}, above its bound {bound[i]:.3e}")
     return SpectralResult(
         eigenvalues=vals,
         vectors=vecs,

@@ -274,6 +274,19 @@ def test_underflowing_conformal_factor_exit_three(tmp_path, capsys, command):
     assert "(min 0.000e+00); the conformal factor underflows this mesh" in err
 
 
+@pytest.mark.parametrize("eps", ["1e-8", "1e-10"])
+def test_small_eps_shrinker_spectrum_exits_zero(tmp_path, capsys, eps):
+    # the systole masses fall like eps^2: the residual gate must not take
+    # the rounding that this leaves in the M^-1 norm for a failed solve
+    desc = tmp_path / "shrinker.json"
+    assert main([
+        "metric", "make", "--family", "shrinker", "--eps", eps,
+        "--delta", "0.1", "--out", str(desc),
+    ]) == 0
+    assert main(["spectrum", "--k", "2", "--level", "3", "--metric", str(desc)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("2, 3.80")
+
+
 def test_failing_verify_exits_one_and_names_its_failures(tmp_path, capsys):
     # no level-1 mesh vertex reaches the default dumbbell's anchors
     desc = tmp_path / "dumbbell.json"

@@ -540,18 +540,10 @@ def test_radial_bounds_and_sign(surface):
 
 @pytest.mark.parametrize("center", [0j, 0.05 - 0.1j])
 @pytest.mark.parametrize("amp", [0.25, 0.6, 1.0])
-def test_radial_sign_probes_are_a_ray_and_keep_the_plateau_minimum(surface, mesh3,
-                                                                    amp, center):
+def test_radial_sign_minimum_is_the_plateau(surface, mesh3, amp, center):
+    # min(1 + lap u) = 1 - amplitude on the plateau r <= 0.6, and a mesh
+    # vertex lies there, so the check needs no probes of its own
     metric = families.make(surface, "nonpositive_radial", amplitude=amp, center=center)
-    x, y = metric.field.sign_probe_points()
-    assert len(x) > 0
-    r = distances_to(x, y, center)
-    assert r[0] == pytest.approx(0.0, abs=1e-12)
-    assert r[-1] == pytest.approx(families.RADIAL_SUPPORT + 0.1, rel=1e-12)
-    assert np.all(np.diff(r) > 0.0)
-    # every probe lies on the geodesic segment from the first to the last
-    to_end = distances_to(x, y, complex(x[-1], y[-1]))
-    np.testing.assert_allclose(r + to_end, r[-1], rtol=0.0, atol=1e-9)
     assert conformal.nonpositivity_check(metric, mesh3).min_excess == 1.0 - amp
 
 

@@ -159,11 +159,12 @@ def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
     )
 
 
+@pytest.mark.parametrize("params", [None, {"eps": 1e-8, "delta": 0.1}])
 @pytest.mark.parametrize("path", ["arpack", "dense"])
 def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypatch,
-                                                 path):
+                                                 path, params):
     # one component of each returned vector off by 1e-3: the residual gate,
-    # not the caller, must notice
+    # not the caller, must notice, also where the rounding floor is large
     module, name = (sp.linalg, "eigsh") if path == "arpack" else (la, "eigh")
     solver = getattr(module, name)
 
@@ -173,11 +174,32 @@ def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypa
         vecs[0] += 1e-3
         return vals, vecs
 
+    metric = (base_metric(surface) if params is None
+              else families.make(surface, "shrinker", **params))
     monkeypatch.setattr(module, name, perturbed)
     mesh = mesh3 if path == "arpack" else mesh2
-    system = assemble(base_metric(surface), mesh)
+    system = assemble(metric, mesh)
     with pytest.raises(NumericError, match="residual"):
         eigenvalues(system, 2 if path == "arpack" else mesh.n_rep - 2)
+
+
+@pytest.fixture(scope="module")
+def mesh5(surface):
+    return build_mesh(surface.domain, 5)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+@pytest.mark.parametrize("level", [3, 5])
+def test_small_eps_shrinker_solves_pass_the_residual_gate(surface, mesh3, mesh5,
+                                                          level, eps):
+    # the systole masses fall like eps^2 while K stays put, so rounding in
+    # K v alone lifts even the exact pair 0 above RESIDUAL_TOL in the M^-1
+    # norm; the rounding floor, not a looser tolerance, admits these solves
+    mesh = mesh3 if level == 3 else mesh5
+    system = assemble(families.make(surface, "shrinker", eps=eps, delta=0.1), mesh)
+    res = eigenvalues(system, 2)
+    assert res.residuals[0] > spectral.RESIDUAL_TOL
+    assert res.eigenvalues[1] == pytest.approx(3.67, abs=0.01)
 
 
 def test_eigenvalues_repeat_bit_for_bit_level5(surface):
