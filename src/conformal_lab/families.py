@@ -14,6 +14,12 @@ All families are built from one C-infinity plateau bump
 with s1 = (a - |t|)/(a/2) and s2 = (|t| - a/2)/(a/2): identically 1 on
 [-a/2, a/2], identically 0 outside (-a, a).  Its first two derivatives
 come from the same closed forms, so curvature formulas are analytic.
+Each jet routine (_q_jet, bump_jet, _PowerSpike.affine_jet) takes an
+order, the number of derivatives it builds: values of u, the spike and
+radial tables and the bounds scan take order 0, the radial Laplacian
+order 1, and the other Laplacians, their integrals and the shrinker's
+collar table the full jet.  Every entry is the same expression at every
+order, so it is the same to the bit.
 
 Every builder takes a stored normalization constant C or solves
 area(C) = area(sigma) for one through field.with_C(c).exp_integral(2), on
@@ -55,43 +61,45 @@ TWO_PI = 2.0 * math.pi
 _Q_FLOOR = 1.4e-3
 
 
-def _q_jet(s, slope):
-    """Value and first two x-derivatives of q(s(x)) for affine s, s' = slope."""
+def _q_jet(s, slope, order=2):
+    """q(s(x)) and its first `order` x-derivatives (order 0, 1 or 2), for
+    affine s with s' = slope."""
     s = np.asarray(s, dtype=float)
-    v = np.zeros_like(s)
-    d1 = np.zeros_like(s)
-    d2 = np.zeros_like(s)
+    jet = [np.zeros_like(s) for _ in range(order + 1)]
     ok = s > _Q_FLOOR
     si = s[ok]
     e = np.exp(-1.0 / si)
-    v[ok] = e
-    d1[ok] = e / si**2 * slope
-    d2[ok] = e * (1.0 / si**4 - 2.0 / si**3) * (slope * slope)
-    return v, d1, d2
+    jet[0][ok] = e
+    if order >= 1:
+        jet[1][ok] = e / si**2 * slope
+    if order >= 2:
+        jet[2][ok] = e * (1.0 / si**4 - 2.0 / si**3) * (slope * slope)
+    return tuple(jet)
 
 
-def bump_jet(x, a):
-    """(phi, phi', phi'') of the plateau bump at x >= 0, half-width a."""
+def bump_jet(x, a, order=2):
+    """The plateau bump at x >= 0, half-width a, and its first `order`
+    derivatives: (phi,), (phi, phi') or (phi, phi', phi'')."""
     x = np.asarray(x, dtype=float)
-    phi = np.zeros_like(x)
-    d1 = np.zeros_like(x)
-    d2 = np.zeros_like(x)
+    jet = [np.zeros_like(x) for _ in range(order + 1)]
     inner = x <= 0.5 * a
-    phi[inner] = 1.0
+    jet[0][inner] = 1.0
     mid = ~inner & (x < a)
     if np.any(mid):
         xm = x[mid]
         half = 0.5 * a
-        n, nd, ndd = _q_jet((a - xm) / half, -1.0 / half)
-        q2, q2d, q2dd = _q_jet((xm - half) / half, 1.0 / half)
-        den = n + q2
-        dend = nd + q2d
-        dendd = ndd + q2dd
-        first = (nd * den - n * dend) / den**2
-        phi[mid] = n / den
-        d1[mid] = first
-        d2[mid] = (ndd * den - n * dendd) / den**2 - 2.0 * dend * first / den
-    return phi, d1, d2
+        n = _q_jet((a - xm) / half, -1.0 / half, order)
+        q2 = _q_jet((xm - half) / half, 1.0 / half, order)
+        den = n[0] + q2[0]
+        jet[0][mid] = n[0] / den
+        if order >= 1:
+            dend = n[1] + q2[1]
+            first = (n[1] * den - n[0] * dend) / den**2
+            jet[1][mid] = first
+        if order >= 2:
+            dendd = n[2] + q2[2]
+            jet[2][mid] = (n[2] * den - n[0] * dendd) / den**2 - 2.0 * dend * first / den
+    return tuple(jet)
 
 
 def _simpson_weights(x):
@@ -180,18 +188,14 @@ class ShrinkerField(conformal.ScalarField):
         """The same member over the constant C, sharing its table."""
         return ShrinkerField(self.sys, self.base_area, self.eps, self.delta, C, self.table)
 
-    def _profile_jet(self, r_abs):
-        phi, d1, d2 = bump_jet(r_abs, self.delta)
+    def _profile_jet(self, r_abs, order=2):
+        """u and its first `order` derivatives in |r|."""
+        phi, *derivatives = bump_jet(r_abs, self.delta, order)
         amp = self.depth + self.C
-        return (
-            self.C - amp * phi,
-            -amp * d1,
-            -amp * d2,
-        )
+        return (self.C - amp * phi, *(-amp * d for d in derivatives))
 
     def values(self, x, y):
-        v, _, _ = self._profile_jet(np.abs(axis_distances(x, y)))
-        return v
+        return self._profile_jet(np.abs(axis_distances(x, y)), 0)[0]
 
     def laplacian(self, x, y):
         r = np.abs(axis_distances(x, y))
@@ -281,31 +285,33 @@ class _PowerSpike:
         self.log_inner = self.log_amp + self.p_exp * (math.log(2.0) + 1.0 / delta)
         self.zones = _SpikeZones(self) if zones is None else zones
 
-    def affine_jet(self, r):
-        """rho, rho', rho'' at radii r as pairs (a, b), each a + b C."""
+    def affine_jet(self, r, order=2):
+        """rho and its first `order` r-derivatives at radii r, as pairs
+        (a, b), each a + b C."""
         r = np.asarray(r, dtype=float)
-        pe, pe1, pe2 = bump_jet(r, self.eps)
-        p1, p11, p12 = bump_jet(r, self.r1)
-        cv = np.zeros_like(r)
-        cd = np.zeros_like(r)
-        cdd = np.zeros_like(r)
+        pe = bump_jet(r, self.eps, order)
+        p1 = bump_jet(r, self.r1, order)
+        c = [np.zeros_like(r) for _ in range(order + 1)]
         m = r > 0.5 * self.r1
         rm = r[m]
-        cv[m] = np.exp(self.log_amp - self.p_exp * np.log(rm))
-        cd[m] = -self.p_exp / rm * cv[m]
-        cdd[m] = self.p_exp * (self.p_exp + 1.0) / rm**2 * cv[m]
+        c[0][m] = np.exp(self.log_amp - self.p_exp * np.log(rm))
+        if order >= 1:
+            c[1][m] = -self.p_exp / rm * c[0][m]
+        if order >= 2:
+            c[2][m] = self.p_exp * (self.p_exp + 1.0) / rm**2 * c[0][m]
         inner = math.exp(self.log_inner)
-        bv = inner * p1 + (1.0 - p1) * cv
-        bd = inner * p11 + (1.0 - p1) * cd - p11 * cv
-        bdd = inner * p12 + (1.0 - p1) * cdd - 2.0 * p11 * cd - p12 * cv
-        return (
-            (pe * bv, 1.0 - pe),
-            (pe1 * bv + pe * bd, -pe1),
-            (pe2 * bv + 2.0 * pe1 * bd + pe * bdd, -pe2),
-        )
+        bv = inner * p1[0] + (1.0 - p1[0]) * c[0]
+        jet = [(pe[0] * bv, 1.0 - pe[0])]
+        if order >= 1:
+            bd = inner * p1[1] + (1.0 - p1[0]) * c[1] - p1[1] * c[0]
+            jet.append((pe[1] * bv + pe[0] * bd, -pe[1]))
+        if order >= 2:
+            bdd = inner * p1[2] + (1.0 - p1[0]) * c[2] - 2.0 * p1[1] * c[1] - p1[2] * c[0]
+            jet.append((pe[2] * bv + 2.0 * pe[1] * bd + pe[0] * bdd, -pe[2]))
+        return tuple(jet)
 
     def rho(self, r):
-        (a, b), _, _ = self.affine_jet(r)
+        (a, b), = self.affine_jet(r, 0)
         return a + b * self.C
 
     def u_values(self, r):
@@ -420,7 +426,7 @@ class _SpikeZones:
             (np.linspace(half, eps, 2049), False),
         ):
             r = np.exp(x) if log else x
-            (a, b), _, _ = spike.affine_jet(r)
+            (a, b), = spike.affine_jet(r, 0)
             self.grids.append((r, r if log else 1.0, np.sinh(r), _simpson_weights(x), a, b))
 
     def integrate(self, fn):
@@ -599,7 +605,7 @@ class RadialSlopeField(conformal.ScalarField):
         """L_sigma u = u'' + coth(r) u' = -s - tanh(r/2) s' as a function
         of the radial coordinate."""
         r = np.asarray(r, dtype=float)
-        phi, d1, _ = bump_jet(r, RADIAL_SUPPORT)
+        phi, d1 = bump_jet(r, RADIAL_SUPPORT, 1)
         return -self.amplitude * phi - np.tanh(0.5 * r) * self.amplitude * d1
 
     def values(self, x, y):
@@ -607,10 +613,6 @@ class RadialSlopeField(conformal.ScalarField):
 
     def laplacian(self, x, y):
         return self._radial_laplacian(distances_to(x, y, self.center))
-
-    def curvature_excess(self, r):
-        """1 + L_sigma u as a function of the radial coordinate."""
-        return 1.0 + self._radial_laplacian(r)
 
     def bounds(self):
         return self.C + float(self.table.w[-1]), self.C
@@ -632,7 +634,7 @@ class _RadialTable:
 
     def __init__(self, amplitude):
         r = np.linspace(0.0, RADIAL_SUPPORT, 32769)
-        phi, _, _ = bump_jet(r, RADIAL_SUPPORT)
+        phi, = bump_jet(r, RADIAL_SUPPORT, 0)
         slope = -np.tanh(0.5 * r) * amplitude * phi
         self.r = r
         self.w = _cumulative_trapezoid(slope, r)

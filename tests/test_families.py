@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import math
 import warnings
 import weakref
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
-from conformal_lab import conformal, entropy, families
+from conformal_lab import conformal, entropy, families, geom
 from conformal_lab.errors import DomainError, ParameterError, RangeError, UsageError
 from conformal_lab.families import (
     FAMILY_NAMES,
@@ -27,7 +28,7 @@ from conformal_lab.families import (
     systole_shrinker,
 )
 from conformal_lab.geom import curve_length, systole_curve
-from conformal_lab.hyp import disk_distance, distances_to
+from conformal_lab.hyp import disk_distance, distances_to, polar_points
 from conformal_lab.report import verify_metric
 
 SYSTOLE = 3.0571418389619947
@@ -101,6 +102,88 @@ def test_bump_jet_derivatives_match_finite_differences():
         dn = bump_jet(np.array([x - h]), a)[0][0]
         assert d1[0] == pytest.approx((up - dn) / (2 * h), abs=5e-6)
         assert d2[0] == pytest.approx((up - 2 * phi[0] + dn) / (h * h), abs=5e-4)
+
+
+#: arguments s of q just below, at and just above the floor of _q_jet
+NEAR_FLOOR = families._Q_FLOOR * np.array([0.999, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.001])
+
+
+def jet_radii(a):
+    """Radii for a bump of half-width a: the plateau, both transition
+    zones, each zone's s just below, at and just above _Q_FLOOR, exactly
+    a/2 and a, and points past the support."""
+    half = 0.5 * a
+    r = np.concatenate([
+        np.linspace(0.0, 2.0 * a, 2001),
+        half + half * NEAR_FLOOR,  # s2 = (r - a/2)/(a/2) at the floor
+        a - half * NEAR_FLOOR,     # s1 = (a - r)/(a/2) at the floor
+        [half, a, np.nextafter(half, np.inf), np.nextafter(a, 0.0), 3.0 * a],
+    ])
+    for s in ((r - half) / half, (a - r) / half):
+        assert np.any((s > 0.9 * families._Q_FLOOR) & (s <= families._Q_FLOOR))
+        assert np.any((s < 1.1 * families._Q_FLOOR) & (s > families._Q_FLOOR))
+    return r
+
+
+def assert_prefix_of_full_jet(jet, full, order):
+    """A jet of the given order is the full jet's first order + 1 entries,
+    bit for bit."""
+    assert len(jet) == order + 1
+    for got, want in zip(jet, full):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_q_jet_of_each_order_is_the_full_jets_prefix(order):
+    floor = families._Q_FLOOR
+    s = np.concatenate([
+        np.linspace(-1.0, 3.0, 4001),
+        NEAR_FLOOR,
+        [np.nextafter(floor, 0.0), np.nextafter(floor, 1.0)],
+    ])
+    for slope in (-2.5, 1.0 / 0.6):
+        assert_prefix_of_full_jet(families._q_jet(s, slope, order),
+                                  families._q_jet(s, slope), order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("a", [0.1, 0.2, families.RADIAL_SUPPORT, math.exp(-1.0 / 0.05)])
+def test_bump_jet_of_each_order_is_the_full_jets_prefix(order, a):
+    r = jet_radii(a)
+    assert_prefix_of_full_jet(bump_jet(r, a, order), bump_jet(r, a), order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("eps, delta, C", [(0.2, 0.05, 0.98), (0.1, 0.01, 0.999)])
+def test_spike_jet_of_each_order_is_the_full_jets_prefix(surface, order, eps, delta, C):
+    spike = families._PowerSpike(surface.total_area, eps, delta, C)
+    r = np.concatenate([jet_radii(spike.r1), np.geomspace(spike.r1, 0.5 * eps, 2001),
+                        jet_radii(eps)])
+    jet, full = spike.affine_jet(r, order), spike.affine_jet(r)
+    assert len(jet) == order + 1
+    for (a, b), (a_full, b_full) in zip(jet, full):
+        assert np.array_equal(a, a_full)
+        assert np.array_equal(b, b_full)
+    assert np.array_equal(spike.rho(r), full[0][0] + full[0][1] * C)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_shrinker_profile_of_each_order_is_the_full_jets_prefix(surface, order):
+    field = families.ShrinkerField(SYSTOLE, surface.total_area, 0.2, 0.1, 0.03)
+    r = jet_radii(field.delta)
+    assert_prefix_of_full_jet(field._profile_jet(r, order), field._profile_jet(r), order)
+
+
+@pytest.mark.parametrize("amplitude", [0.25, 1.0])
+def test_radial_profile_is_built_from_the_full_jet(surface, amplitude):
+    field = families.RadialSlopeField(surface.total_area, 0j, amplitude, 0.1)
+    r = jet_radii(families.RADIAL_SUPPORT)
+    phi, d1, _ = bump_jet(r, families.RADIAL_SUPPORT)
+    assert np.array_equal(field._radial_laplacian(r),
+                          -amplitude * phi - np.tanh(0.5 * r) * amplitude * d1)
+    grid = field.table.r
+    slope = -np.tanh(0.5 * grid) * amplitude * bump_jet(grid, families.RADIAL_SUPPORT)[0]
+    assert np.array_equal(field.table.w, _cumulative_trapezoid(slope, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +544,36 @@ def test_spike_and_radial_quadratures_are_pinned(surface, family, params, C_repr
     assert tuple(map(repr, field.bounds())) == (lo_repr, hi_repr)
 
 
+@pytest.mark.parametrize(
+    "family, params, u_sha, weights_sha",
+    [
+        ("base", {},
+         "35956830dc0e1c6938923d39e417eba774c6b059bb38a8a8de026da72f74da51",
+         "aca753596c74986dac9fcec9d525ac4de50dbedcbc6cdc1b498174eafb8bbbd2"),
+        ("shrinker", {"eps": 0.2, "delta": 0.1},
+         "d7363c7215b894c014b62c03c0b8f51377b34037c948c62ebd5c8c70c0f1827c",
+         "fe36062a8d9b461b0f5f6e4bfebee21e1a31c31fdaa901fdabf6a060beb274ca"),
+        ("stretcher", {"eps": 0.2, "delta": 0.05},
+         "ac8249f7e9de37a38eaa32400feb8c625ba5b925a7ecdc46921df062efbf8938",
+         "9530cca78131e6fbd6653055c4d9cf88c06c19c299d7f297fdcdcc88f77d9700"),
+        ("dumbbell", {"eps": 0.1, "delta": 0.05},
+         "80f7aa06142674a73ba9745d1cb257c62fdf1b21919fba0147ca78c91d71750c",
+         "8340e787a669bdf80074b669ddebcb08323b136272345248b96fcbd33a8eb585"),
+        ("nonpositive_radial", {"amplitude": 0.75},
+         "2f758b32bfb9fd412e25ab532c2a636274aa3a77d0e8ccbb4671a7ecdbece078",
+         "445b9e8309b52bd1c5ccd0555a4af352908d5aec7172c518a01ae9a25c991489"),
+    ],
+)
+def test_vertex_values_and_edge_weights_are_pinned(surface, mesh3, family, params,
+                                                    u_sha, weights_sha):
+    # u at the level-3 vertices and the 8-sample edge g-lengths that feed
+    # the sweep's mesh and diameter, bit for bit
+    metric = families.make(surface, family, **params)
+    assert hashlib.sha256(metric.u_raw(mesh3).tobytes()).hexdigest() == u_sha
+    weights = geom._edge_weights(metric, mesh3, 8)
+    assert hashlib.sha256(weights.tobytes()).hexdigest() == weights_sha
+
+
 #: bump_jet points over make and katok_bounds: the C-free table once,
 #: 4097 collar radii (shrinker); 3 zones x 2049 radii x 2 bumps, plus the
 #: bounds scan of 8194 radii x 2 bumps (spike); 32769 table radii (radial)
@@ -477,13 +590,14 @@ def test_each_member_builds_its_table_once(surface, monkeypatch, family):
     params, budget = TABLE_POINTS[family]
     points = []
 
-    def counting(x, a):
+    def counting(x, a, order=2):
+        # every call of the one bump routine, whatever its order
         points.append(np.size(x))
-        return bump_jet(x, a)
+        return bump_jet(x, a, order)
 
     monkeypatch.setattr(families, "bump_jet", counting)
     entropy.katok_bounds(families.make(surface, family, **params))
-    assert sum(points) <= budget
+    assert 0 < sum(points) <= budget
 
 
 @pytest.mark.parametrize("family", TABLE_POINTS)
@@ -532,10 +646,11 @@ def test_radial_bounds_and_sign(surface):
     metric = families.make(surface, "nonpositive_radial", amplitude=1.0)
     assert metric.u_max == pytest.approx(0.173556, abs=1e-5)
     assert metric.u_max < 0.4406867935097715  # Schwarz cap, strict
-    excess = metric.field.curvature_excess(np.linspace(0.0, 1.3, 10001))
+    ray = polar_points(metric.field.center, np.linspace(0.0, 1.3, 10001))
+    excess = 1.0 + metric.field.laplacian(ray.real, ray.imag)
     assert excess.min() >= 0.0
     # Full amplitude touches zero at the center.
-    assert metric.field.curvature_excess(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert excess[0] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("center", [0j, 0.05 - 0.1j])
