@@ -6,28 +6,41 @@ raw Euclidean disk coordinates) serves every metric on a mesh; it is
 cached on the mesh.  The metric enters only through the lumped mass
 matrix, whose vertex weights carry exp(2u).
 
-The constants span the kernel of K on the connected surface, so the
-pair lambda_0 = 0 with the M-normalized constant is exact and is not
-computed.  The other k eigenvalues come from ARPACK shift-invert
-iteration around -1e-3 on the M-orthogonal complement of the constants
-(deflation, Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998):
-the solve's input drops its M 1 component and its output its constant
-component, so ARPACK is asked for k pairs, not k + 1.  On the complement
-the pencil is positive definite; computed values are clipped at 0 so that
-a collapsed neck's round-off cannot fall below the exact 0.  There is no
-dense cutoff; a dense `eigh` on the complement runs only where ARPACK
-cannot (k + 1 >= n - 1).  The shift caps the operator at 1e3, which
-keeps the tiny eigenvalues of collapsed dumbbell necks resolved.  The
-debug log names the path, the pairs requested, ncv and the number of
-shift-invert solves.  K + 1e-3 M has the same sparsity pattern for every
-metric, so its fill-reducing order is computed once per mesh: a
-geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973) of
-the representatives' disk coordinates, cached on the mesh with K
-permuted by it.  Per metric only the diagonal changes; the permuted
-matrix is symmetric positive definite, so SuperLU factors it in that
-order without pivoting.  ARPACK starts from a fixed random vector and
-draws its restarts from a fixed generator, so a solve repeats bit for
-bit across calls and processes.
+The constants span the kernel of K on the connected surface, so the pair
+lambda_0 = 0 with the M-normalized constant is exact and is not
+computed.  The other k eigenvalues come from ARPACK in standard mode on
+the symmetric shift-invert operator S = M^(1/2) (K - SHIFT M)^(-1)
+M^(1/2), SHIFT = -1e-3, whose eigenvalues theta = 1 / (lambda - SHIFT)
+are largest at the bottom of the spectrum (Ericsson & Ruhe, Math. Comp.
+35, 1980; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).
+ARPACK asks for one product with S per step and for nothing else: the
+generalized shift-invert mode also asks for an M-product on most steps,
+87 steps for 22 solves on a level-3 sweep row (mean of the default
+grid).  S is projected on both sides against M^(1/2) 1, the constants
+(deflation), so ARPACK is asked for the k largest theta, not k + 1, and
+lambda = SHIFT + 1 / theta.  The vectors come from one block
+inverse-iteration step, v = (K - SHIFT M)^(-1) M^(1/2) y, one factored
+solve with k right-hand sides, with the constant part removed and each
+column M-normalized: y / sqrt(m) would amplify rounding at small-mass
+vertices.  On the complement the pencil is positive definite; computed
+values are clipped at 0 so that a collapsed neck's round-off cannot fall
+below the exact 0.  There is no dense cutoff; a dense `eigh` on the
+complement runs only where ARPACK cannot (k + 1 >= n - 1).  The shift
+caps S at 1e3, which keeps the tiny eigenvalues of collapsed dumbbell
+necks resolved.  The debug log names the path, the pairs requested, ncv,
+the number of shift-invert solves and the refinement's right-hand sides.
+K - SHIFT M has the same sparsity pattern for every metric, so its
+fill-reducing order is computed once per mesh: a geometric nested
+dissection (George, SIAM J. Numer. Anal. 10, 1973) of the
+representatives' disk coordinates, cached on the mesh with K permuted by
+it and the positions of its diagonal.  Per metric only the diagonal
+changes, so the factored matrix is a copy of the permuted K with SHIFT M
+subtracted there; it is symmetric positive definite, so SuperLU factors
+it in that order without pivoting.  ARPACK iterates in that order too,
+so a step permutes nothing; only the returned vectors are put back in
+vertex order.  ARPACK starts from a fixed random vector and draws its
+restarts from a fixed generator, so a solve repeats bit for bit across
+calls and processes.
 """
 
 import logging
@@ -101,8 +114,14 @@ def dissection_order(mesh):
     median along its longer extent; the separator is the upper half's
     vertices adjacent to the lower half in K's graph, glued edges
     included, so it separates the halves on the closed surface; order
-    lower, rest of upper, separator, recursively.  Cached on the mesh.
+    lower, rest of upper, separator, recursively.  Cached on the mesh,
+    with the positions of the permuted stiffness's diagonal in its data.
     """
+    return _factor_pattern(mesh)[:2]
+
+
+def _factor_pattern(mesh):
+    """(perm, K_perm, positions of K_perm's diagonal in K_perm.data)."""
     if "dissection_order" in mesh._cache:
         return mesh._cache["dissection_order"]
     K = cotangent_stiffness(mesh)
@@ -131,26 +150,43 @@ def dissection_order(mesh):
 
     dissect(np.arange(mesh.n_rep))
     perm = np.concatenate(pieces)
-    mesh._cache["dissection_order"] = (perm, K[perm][:, perm].tocsc())
+    K_perm = K[perm][:, perm].tocsc()
+    columns = np.repeat(np.arange(mesh.n_rep), np.diff(K_perm.indptr))
+    diagonal = np.flatnonzero(K_perm.indices == columns)
+    mesh._cache["dissection_order"] = (perm, K_perm, diagonal)
     return mesh._cache["dissection_order"]
 
 
-def _shift_invert(system):
-    """x -> (K - SHIFT * M)^{-1} x, factored in the mesh's dissection order."""
-    perm, K_perm = dissection_order(system.mesh)
+def _shifted_stiffness(system):
+    """K - SHIFT * M in the mesh's dissection order.  Only the diagonal
+    depends on the metric, so SHIFT * M is subtracted from a copy of the
+    cached permuted stiffness's diagonal entries."""
+    perm, K_perm, diagonal = _factor_pattern(system.mesh)
+    shifted = K_perm.copy()
+    shifted.data[diagonal] -= SHIFT * system.mass[perm]
+    return shifted
+
+
+def _factor(system):
+    """(perm, SuperLU factor of K - SHIFT * M in the mesh's dissection order):
+    lu.solve(b[perm]) is ((K - SHIFT * M)^{-1} b)[perm], for a vector or an
+    (n, m) block."""
+    perm = _factor_pattern(system.mesh)[0]
     lu = spla.splu(
-        K_perm - SHIFT * sp.diags(system.mass[perm]),
+        _shifted_stiffness(system),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+    return perm, lu
 
-    def solve(b):
-        x = np.empty(len(perm))
-        x[perm] = lu.solve(b[perm])
-        return x
 
-    return solve
+def _stiffness_norm(mesh) -> float:
+    """||K||_inf of the mesh's stiffness, cached on the mesh."""
+    if "stiffness_norm" not in mesh._cache:
+        abs_K = np.abs(cotangent_stiffness(mesh))
+        mesh._cache["stiffness_norm"] = float(np.max(abs_K.sum(axis=1)))
+    return mesh._cache["stiffness_norm"]
 
 
 @dataclass
@@ -211,7 +247,7 @@ class SpectralResult:
         return "\n".join(lines) + "\n"
 
 
-def _residuals(K, mass, vals, vecs):
+def _residuals(system, vals, vecs):
     """(residual, backward error, rounding floor) of each pair (lambda, v).
 
     The residual is ||K v - lambda M v||_{M^-1} / ||v||_M: by Weinstein's bound
@@ -221,8 +257,10 @@ def _residuals(K, mass, vals, vecs):
     that norm of |K| |v| + lambda M |v|, is what rounding alone leaves there:
     K ignores u, while the norm divides by masses that a small eps shrinks.
     """
-    abs_K = np.abs(K)
-    norm_K = float(np.max(abs_K.sum(axis=1)))
+    K = system.stiffness
+    mass = system.mass
+    abs_K = sp.csr_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
+    norm_K = _stiffness_norm(system.mesh)
     norm_M = float(np.max(mass))
     weighted, scaled, floor = (np.empty(len(vals)) for _ in range(3))
     for j, lam in enumerate(vals):
@@ -244,7 +282,8 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
     The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
     The other k are solved on the M-orthogonal complement of the
     constants and clipped at 0.  On either path a pair whose residual exceeds
-    RESIDUAL_TOL * (1 + lambda) + ROUNDING_SLACK * floor is a NumericError.
+    RESIDUAL_TOL * (1 + lambda) + ROUNDING_SLACK * floor is a NumericError,
+    and so is every ARPACK failure, breakdown as well as no convergence.
     """
     n = system.mesh.n_rep
     if k < 0:
@@ -272,33 +311,34 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
         vecs = (Q @ y[:, :k]) * scale[:, None]
         log.debug("eigenvalues: path=dense pairs=%d", k)
     else:
-        solve = _shift_invert(system)
-        mass_ones = mass / total_mass  # x -> mass_ones @ x is x's constant part
+        # the iteration runs in the factor's order, so a solve is lu.solve
+        perm, lu = _factor(system)
+        mass_p = mass[perm]
+        root = np.sqrt(mass_p)
+        unit = root / math.sqrt(total_mass)  # M^(1/2) 1, the constants, normalized
         solves = 0
 
-        def deflated(b):
-            # scipy hands OPinv M x: strip its M 1 part, then the solution's
-            # constant part, so the iteration never leaves the complement
+        def deflated(x):
+            # P S P x with S = M^(1/2) (K - SHIFT M)^(-1) M^(1/2) and
+            # P = I - unit unit', so the iteration never leaves the complement
             nonlocal solves
             solves += 1
-            b = np.ravel(b)
-            x = solve(b - mass * (b.sum() / total_mass))
-            return x - mass_ones @ x
+            x = np.ravel(x)
+            b = x - unit * (unit @ x)
+            b *= root
+            w = lu.solve(b)
+            w *= root
+            w -= unit * (unit @ w)
+            return w
 
-        v0 = np.random.default_rng(0).standard_normal(n)
-        v0 -= mass_ones @ v0
+        v0 = np.random.default_rng(0).standard_normal(n)[perm]
+        v0 -= unit * (unit @ v0)
         ncv = min(n - 1, max(12, 4 * k))
         try:
-            vals, vecs = spla.eigsh(
-                K,
+            theta, y = spla.eigsh(
+                spla.LinearOperator((n, n), matvec=deflated, dtype=float),
                 k=k,
-                M=spla.LinearOperator(
-                    (n, n), matvec=lambda x: mass * np.ravel(x), dtype=float
-                ),
-                sigma=SHIFT,
-                which="LM",
-                mode="normal",
-                OPinv=spla.LinearOperator((n, n), matvec=deflated, dtype=float),
+                which="LA",
                 v0=v0,
                 ncv=ncv,
                 maxiter=ARPACK_MAXITER,
@@ -309,24 +349,36 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
             raise NumericError(
                 f"eigensolver failed to converge within {ARPACK_MAXITER} iterations"
             ) from exc
+        except spla.ArpackError as exc:
+            raise NumericError(f"eigensolver broke down: {exc}") from exc
+        vals = SHIFT + 1.0 / theta
         order = np.argsort(vals)
         vals = vals[order]
-        vecs = vecs[:, order]
+        # One block inverse-iteration step, v = (K - SHIFT M)^(-1) M^(1/2) y:
+        # y / sqrt(m) would amplify rounding at small-mass vertices.
+        refined = lu.solve(root[:, None] * y[:, order])
+        refined -= (mass_p @ refined) / total_mass
+        refined /= np.sqrt(np.einsum("ij,ij->j", mass_p[:, None] * refined, refined))
+        vecs = np.empty((n, k))
+        vecs[perm] = refined
         log.debug(
-            "eigenvalues: path=arpack pairs=%d ncv=%d shift_invert_solves=%d",
-            k, ncv, solves,
+            "eigenvalues: path=arpack pairs=%d ncv=%d shift_invert_solves=%d "
+            "refine_rhs=%d",
+            k, ncv, solves, k,
         )
 
     vals = np.concatenate(([0.0], np.maximum(vals, 0.0)))
-    vecs = np.column_stack((np.full(n, 1.0 / math.sqrt(total_mass)), vecs))
-    weighted, scaled, floor = _residuals(K, mass, vals, vecs)
+    vectors = np.empty((n, k + 1), order="F")  # each pair's vector contiguous
+    vectors[:, 0] = 1.0 / math.sqrt(total_mass)
+    vectors[:, 1:] = vecs
+    weighted, scaled, floor = _residuals(system, vals, vectors)
     bound = RESIDUAL_TOL * (1.0 + vals) + ROUNDING_SLACK * floor
     for i in np.flatnonzero(~(weighted <= bound)):  # NaN fails too
         raise NumericError(f"eigenpair {i} has residual {weighted[i]:.3e} at lambda = "
                            f"{vals[i]:.6g}, above its bound {bound[i]:.3e}")
     return SpectralResult(
         eigenvalues=vals,
-        vectors=vecs,
+        vectors=vectors,
         residuals=weighted,
         backward_errors=scaled,
         mesh=system.mesh,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conformal_lab import build_mesh, families, spectral
 from conformal_lab.conformal import base_metric
@@ -24,7 +25,9 @@ from conformal_lab.errors import (
 from conformal_lab.report import default_sweep_grid
 from conformal_lab.spectral import (
     SHIFT,
-    _shift_invert,
+    _factor,
+    _residuals,
+    _shifted_stiffness,
     assemble,
     conformal_eigen_sandwich,
     cotangent_stiffness,
@@ -95,8 +98,41 @@ def test_shift_invert_factor_solves_shifted_system(surface, mesh4, params):
     shifted = system.stiffness - SHIFT * sp.diags(system.mass)
     x_true = np.random.default_rng(1).standard_normal(mesh4.n_rep)
     b = shifted @ x_true
-    x = _shift_invert(system)(b)
+    perm, lu = _factor(system)
+    x = np.empty(mesh4.n_rep)
+    x[perm] = lu.solve(b[perm])
     assert np.linalg.norm(shifted @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("params", [None, COLLAPSED_DUMBBELL])
+def test_shifted_stiffness_updates_only_the_diagonal(surface, mesh4, params):
+    # the factored matrix is the cached permuted stiffness with SHIFT * M
+    # subtracted on its diagonal, entry for entry the sparse difference;
+    # the collapsed dumbbell's masses reach 1e83
+    metric = base_metric(surface) if params is None else families.make(surface, **params)
+    system = assemble(metric, mesh4)
+    perm, K_perm = dissection_order(mesh4)
+    expected = (K_perm - SHIFT * sp.diags(system.mass[perm])).tocsc()
+    shifted = _shifted_stiffness(system)
+    assert shifted.format == "csc"
+    assert np.array_equal(shifted.indptr, expected.indptr)
+    assert np.array_equal(shifted.indices, expected.indices)
+    assert np.array_equal(shifted.data, expected.data)
+    assert (dissection_order(mesh4)[1] != cotangent_stiffness(mesh4)[perm][:, perm]).nnz == 0
+
+
+def test_shift_invert_factor_solves_each_column_of_a_block(surface, mesh4):
+    # the eigenvectors come from one solve with k right-hand sides
+    system = assemble(families.make(surface, **COLLAPSED_DUMBBELL), mesh4)
+    shifted = system.stiffness - SHIFT * sp.diags(system.mass)
+    x_true = np.random.default_rng(2).standard_normal((mesh4.n_rep, 4))
+    b = shifted @ x_true
+    perm, lu = _factor(system)
+    x = np.empty(b.shape)
+    x[perm] = lu.solve(b[perm])
+    for j in range(b.shape[1]):
+        assert np.linalg.norm(shifted @ x[:, j] - b[:, j]) <= 1e-12 * np.linalg.norm(b[:, j])
+        np.testing.assert_allclose(x[perm, j], lu.solve(b[perm, j]), rtol=1e-13, atol=0.0)
 
 
 def _assert_exact_pair_zero(system, res):
@@ -146,6 +182,8 @@ def test_deflated_solve_count_is_pinned(surface, mesh4, caplog):
     (message,) = [r.getMessage() for r in caplog.records if "path=arpack" in r.getMessage()]
     assert "pairs=1 ncv=12 " in message
     assert int(re.search(r"shift_invert_solves=(\d+)", message).group(1)) <= 20
+    # the vectors come from one block solve with one right-hand side a pair
+    assert message.endswith(" refine_rhs=1")
 
 
 def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
@@ -181,6 +219,47 @@ def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypa
     system = assemble(metric, mesh)
     with pytest.raises(NumericError, match="residual"):
         eigenvalues(system, 2 if path == "arpack" else mesh.n_rep - 2)
+
+
+def test_arpack_breakdown_is_a_numeric_error(surface, mesh3, monkeypatch):
+    # ARPACK's other failures (e.g. -9999, no Arnoldi factorization) are
+    # numerical breakdowns too: exit 3, not a traceback
+    def broken(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(sp.linalg, "eigsh", broken)
+    system = assemble(base_metric(surface), mesh3)
+    with pytest.raises(NumericError, match="eigensolver broke down: ARPACK error -9999"):
+        eigenvalues(system, 2)
+
+
+@pytest.fixture(scope="module")
+def small_eps_meshes(surface):
+    return {level: build_mesh(surface.domain, level) for level in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-20, 1e-40, 1e-100])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_small_eps_shrinker_residuals_stay_near_the_rounding_floor(
+        surface, small_eps_meshes, level, eps, k):
+    # the systole's masses fall like eps^2: every pair of these ARPACK solves
+    # must land within 50 rounding floors of the residual tolerance, far
+    # inside the gate's ROUNDING_SLACK
+    system = assemble(families.make(surface, "shrinker", eps=eps, delta=0.1),
+                      small_eps_meshes[level])
+    res = eigenvalues(system, k)
+    _, _, floor = _residuals(system, res.eigenvalues, res.vectors)
+    bound = spectral.RESIDUAL_TOL * (1.0 + res.eigenvalues) + 50.0 * floor
+    assert np.all(res.residuals <= bound)
+
+
+def test_small_eps_shrinker_lambda1_agrees_across_k(surface, small_eps_meshes):
+    system = assemble(families.make(surface, "shrinker", eps=1e-4, delta=0.1),
+                      small_eps_meshes[2])
+    lam1 = eigenvalues(system, 2).eigenvalues[1]
+    assert lam1 == pytest.approx(3.61749747, abs=5e-9)
+    assert lam1 == pytest.approx(eigenvalues(system, 1).eigenvalues[1], rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -125,7 +125,8 @@ def test_replace_starts_mesh_caches_empty(surface, mesh2):
     diameter_estimate(base_metric(surface), cached)
     base_spectrum(surface, cached, 2)
     assert set(cached._cache) == {
-        "stiffness", "dissection_order", "diameter_graph", "base_spectrum",
+        "stiffness", "dissection_order", "stiffness_norm", "diameter_graph",
+        "base_spectrum",
     }
     copy = dataclasses.replace(cached, tris=cached.tris.copy())
     assert copy._cache == {}
