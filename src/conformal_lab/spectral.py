@@ -20,15 +20,18 @@ grid).  S is projected on both sides against M^(1/2) 1, the constants
 (deflation), so ARPACK is asked for the k largest theta, not k + 1, and
 lambda = SHIFT + 1 / theta.  The vectors come from one block
 inverse-iteration step, v = (K - SHIFT M)^(-1) M^(1/2) y, one factored
-solve with k right-hand sides, with the constant part removed and each
-column M-normalized: y / sqrt(m) would amplify rounding at small-mass
-vertices.  On the complement the pencil is positive definite; computed
-values are clipped at 0 so that a collapsed neck's round-off cannot fall
-below the exact 0.  There is no dense cutoff; a dense `eigh` on the
-complement runs only where ARPACK cannot (k + 1 >= n - 1).  The shift
-caps S at 1e3, which keeps the tiny eigenvalues of collapsed dumbbell
-necks resolved.  The debug log names the path, the pairs requested, ncv,
-the number of shift-invert solves and the refinement's right-hand sides.
+solve with k right-hand sides, with the constant part removed, each
+column rescaled by an exact power of two (so that the M-norm of tiny
+masses cannot underflow) and M-normalized: y / sqrt(m) would amplify
+rounding at small-mass vertices.  On the complement the pencil is
+positive definite; computed values are clipped at 0 so that a collapsed
+neck's round-off cannot fall below the exact 0.  This one path serves
+every 1 <= k <= n - 1: the Krylov space takes ncv = min(n, max(12, 4 k))
+vectors, and k = n - 1 needs all n of them, down to the 2-vertex level-0
+mesh.  The shift caps S at 1e3, which keeps the tiny eigenvalues of
+collapsed dumbbell necks resolved.  The debug log names the path, the
+pairs requested, ncv, the number of shift-invert solves and the
+refinement's right-hand sides.
 K - SHIFT M has the same sparsity pattern for every metric, so its
 fill-reducing order is computed once per mesh: a geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973) of the
@@ -107,21 +110,17 @@ def cotangent_stiffness(mesh) -> sp.csr_matrix:
     return K
 
 
-def dissection_order(mesh):
-    """(permutation, permuted stiffness) for the shift-invert factor.
+def _factor_pattern(mesh):
+    """(perm, K_perm, positions of K_perm's diagonal in K_perm.data): the
+    shift-invert factor's order, the stiffness permuted by it and where
+    its diagonal lies.
 
     Geometric nested dissection: split an index set at the coordinate
     median along its longer extent; the separator is the upper half's
     vertices adjacent to the lower half in K's graph, glued edges
     included, so it separates the halves on the closed surface; order
-    lower, rest of upper, separator, recursively.  Cached on the mesh,
-    with the positions of the permuted stiffness's diagonal in its data.
+    lower, rest of upper, separator, recursively.  Cached on the mesh.
     """
-    return _factor_pattern(mesh)[:2]
-
-
-def _factor_pattern(mesh):
-    """(perm, K_perm, positions of K_perm's diagonal in K_perm.data)."""
     if "dissection_order" in mesh._cache:
         return mesh._cache["dissection_order"]
     K = cotangent_stiffness(mesh)
@@ -281,35 +280,22 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
 
     The pair 0 is exact: lambda_0 = 0.0 with the M-normalized constant.
     The other k are solved on the M-orthogonal complement of the
-    constants and clipped at 0.  On either path a pair whose residual exceeds
-    RESIDUAL_TOL * (1 + lambda) + ROUNDING_SLACK * floor is a NumericError,
-    and so is every ARPACK failure, breakdown as well as no convergence.
+    constants by ARPACK, for every 1 <= k <= n - 1, and clipped at 0.  A
+    pair whose residual exceeds RESIDUAL_TOL * (1 + lambda) +
+    ROUNDING_SLACK * floor is a NumericError, and so is every ARPACK
+    failure, breakdown as well as no convergence.
     """
     n = system.mesh.n_rep
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
     if k + 1 > n:
         raise DomainError(f"requested {k + 1} eigenvalues of a {n}-dim system")
-    K = system.stiffness
     mass = system.mass
     total_mass = float(mass.sum())
 
     if k == 0:
         vals = np.empty(0)
         vecs = np.empty((n, 0))
-    elif k + 1 >= n - 1:
-        # ARPACK needs k < ncv <= n - 1 on the complement
-        import scipy.linalg as la
-
-        scale = 1.0 / np.sqrt(mass)
-        A = (K.toarray() * scale[None, :]) * scale[:, None]
-        A = 0.5 * (A + A.T)
-        # orthonormal basis of the complement of M^(1/2) 1, the constants
-        Q = la.null_space(np.sqrt(mass)[None, :])
-        vals, y = la.eigh(Q.T @ A @ Q)
-        vals = vals[:k]
-        vecs = (Q @ y[:, :k]) * scale[:, None]
-        log.debug("eigenvalues: path=dense pairs=%d", k)
     else:
         # the iteration runs in the factor's order, so a solve is lu.solve
         perm, lu = _factor(system)
@@ -333,7 +319,7 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
 
         v0 = np.random.default_rng(0).standard_normal(n)[perm]
         v0 -= unit * (unit @ v0)
-        ncv = min(n - 1, max(12, 4 * k))
+        ncv = min(n, max(12, 4 * k))  # k = n - 1 needs all n
         try:
             theta, y = spla.eigsh(
                 spla.LinearOperator((n, n), matvec=deflated, dtype=float),
@@ -358,6 +344,11 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
         # y / sqrt(m) would amplify rounding at small-mass vertices.
         refined = lu.solve(root[:, None] * y[:, order])
         refined -= (mass_p @ refined) / total_mass
+        # An exact power of two per column keeps the M-norm of tiny masses
+        # from underflowing and changes no bit of the normalized vector;
+        # max and -min find max |v| without an (n, k) temporary.
+        largest = np.maximum(refined.max(axis=0), -refined.min(axis=0))
+        np.ldexp(refined, -np.frexp(largest)[1], out=refined)
         refined /= np.sqrt(np.einsum("ij,ij->j", mass_p[:, None] * refined, refined))
         vecs = np.empty((n, k))
         vecs[perm] = refined

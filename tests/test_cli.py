@@ -287,6 +287,23 @@ def test_small_eps_shrinker_spectrum_exits_zero(tmp_path, capsys, eps):
     assert capsys.readouterr().out.splitlines()[-1].startswith("2, 3.80")
 
 
+def test_all_pairs_of_a_tiny_mass_shrinker_exit_three(tmp_path, capsys):
+    # all but one pair of the level-1 mesh: what misses the residual gate
+    # is a numerical breakdown, never a CSV of zero eigenvalues
+    desc = tmp_path / "shrinker.json"
+    out = tmp_path / "spectrum.csv"
+    assert main([
+        "metric", "make", "--family", "shrinker", "--eps", "1e-100",
+        "--delta", "0.1", "--out", str(desc),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "spectrum", "--k", "12", "--level", "1", "--metric", str(desc), "--out", str(out),
+    ]) == 3
+    assert "residual" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failing_verify_exits_one_and_names_its_failures(tmp_path, capsys):
     # no level-1 mesh vertex reaches the default dumbbell's anchors
     desc = tmp_path / "dumbbell.json"

@@ -26,12 +26,12 @@ from conformal_lab.report import default_sweep_grid
 from conformal_lab.spectral import (
     SHIFT,
     _factor,
+    _factor_pattern,
     _residuals,
     _shifted_stiffness,
     assemble,
     conformal_eigen_sandwich,
     cotangent_stiffness,
-    dissection_order,
     dumbbell_test_bound,
     eigenvalues,
     rayleigh,
@@ -84,9 +84,9 @@ def test_base_spectrum_level4_uses_sparse_path(surface, mesh4):
 
 
 def test_dissection_order_is_cached_permutation(surface, mesh4):
-    perm, K_perm = dissection_order(mesh4)
+    perm, K_perm = _factor_pattern(mesh4)[:2]
     assert np.array_equal(np.sort(perm), np.arange(mesh4.n_rep))
-    assert dissection_order(mesh4)[0] is perm
+    assert _factor_pattern(mesh4)[0] is perm
     K = cotangent_stiffness(mesh4)
     assert (K_perm != K[perm][:, perm]).nnz == 0
 
@@ -111,14 +111,14 @@ def test_shifted_stiffness_updates_only_the_diagonal(surface, mesh4, params):
     # the collapsed dumbbell's masses reach 1e83
     metric = base_metric(surface) if params is None else families.make(surface, **params)
     system = assemble(metric, mesh4)
-    perm, K_perm = dissection_order(mesh4)
+    perm, K_perm = _factor_pattern(mesh4)[:2]
     expected = (K_perm - SHIFT * sp.diags(system.mass[perm])).tocsc()
     shifted = _shifted_stiffness(system)
     assert shifted.format == "csc"
     assert np.array_equal(shifted.indptr, expected.indptr)
     assert np.array_equal(shifted.indices, expected.indices)
     assert np.array_equal(shifted.data, expected.data)
-    assert (dissection_order(mesh4)[1] != cotangent_stiffness(mesh4)[perm][:, perm]).nnz == 0
+    assert (_factor_pattern(mesh4)[1] != cotangent_stiffness(mesh4)[perm][:, perm]).nnz == 0
 
 
 def test_shift_invert_factor_solves_each_column_of_a_block(surface, mesh4):
@@ -186,10 +186,32 @@ def test_deflated_solve_count_is_pinned(surface, mesh4, caplog):
     assert message.endswith(" refine_rhs=1")
 
 
-def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
-    system = assemble(families.make(surface, "shrinker", eps=0.2, delta=0.1), mesh2)
-    k = mesh2.n_rep - 2  # k + 1 >= n - 1 leaves ARPACK no room for ncv
-    res = eigenvalues(system, k)
+@pytest.fixture(scope="module")
+def small_meshes(surface):
+    return {level: build_mesh(surface.domain, level) for level in (0, 1, 2, 3)}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [None, {"family": "shrinker", "eps": 0.2, "delta": 0.1}, COLLAPSED_DUMBBELL],
+    ids=["base", "shrinker", "collapsed-dumbbell"],
+)
+@pytest.mark.parametrize(
+    "level, spare",
+    [(0, 1), (1, 2), (1, 1), (2, 2), (2, 1)],
+    ids=["0-n-1", "1-n-2", "1-n-1", "2-n-2", "2-n-1"],
+)
+def test_all_pairs_take_the_arpack_path(surface, small_meshes, caplog, level, spare,
+                                        params):
+    # ncv may reach n, so ARPACK serves every k up to n - 1, down to the
+    # 2-vertex level-0 mesh (whose k = n - 2 = 0 solves nothing)
+    mesh = small_meshes[level]
+    metric = base_metric(surface) if params is None else families.make(surface, **params)
+    system = assemble(metric, mesh)
+    k = mesh.n_rep - spare
+    with caplog.at_level(logging.DEBUG, logger="conformal_lab.spectral"):
+        res = eigenvalues(system, k)
+    assert f"path=arpack pairs={k} ncv={min(mesh.n_rep, max(12, 4 * k))} " in caplog.text
     assert len(res.eigenvalues) == k + 1
     _assert_exact_pair_zero(system, res)
     np.testing.assert_allclose(
@@ -197,14 +219,26 @@ def test_dense_fallback_where_arpack_cannot_run(surface, mesh2):
     )
 
 
+def test_tiny_mass_level0_shrinker_solves(surface, small_meshes):
+    # masses near 1e-200: without the power-of-two rescale of the refined
+    # vector its M-norm underflows to 0.  The rounding floor overflows
+    # here, so the residual is held to RESIDUAL_TOL alone.
+    system = assemble(families.make(surface, "shrinker", eps=1e-100, delta=0.1),
+                      small_meshes[0])
+    with np.errstate(over="ignore"):
+        res = eigenvalues(system, 1)
+    assert res.eigenvalues[1] == pytest.approx(_dense_oracle(system, 1)[1], rel=1e-12)
+    assert np.all(res.residuals <= spectral.RESIDUAL_TOL * (1.0 + res.eigenvalues))
+
+
 @pytest.mark.parametrize("params", [None, {"eps": 1e-8, "delta": 0.1}])
-@pytest.mark.parametrize("path", ["arpack", "dense"])
+@pytest.mark.parametrize("all_pairs", [False, True], ids=["arpack", "arpack-all-pairs"])
 def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypatch,
-                                                 path, params):
+                                                 all_pairs, params):
     # one component of each returned vector off by 1e-3: the residual gate,
     # not the caller, must notice, also where the rounding floor is large
-    module, name = (sp.linalg, "eigsh") if path == "arpack" else (la, "eigh")
-    solver = getattr(module, name)
+    # and where ARPACK is asked for every pair
+    solver = sp.linalg.eigsh
 
     def perturbed(*args, **kwargs):
         vals, vecs = solver(*args, **kwargs)
@@ -214,11 +248,11 @@ def test_inaccurate_eigenpair_is_a_numeric_error(surface, mesh2, mesh3, monkeypa
 
     metric = (base_metric(surface) if params is None
               else families.make(surface, "shrinker", **params))
-    monkeypatch.setattr(module, name, perturbed)
-    mesh = mesh3 if path == "arpack" else mesh2
+    monkeypatch.setattr(sp.linalg, "eigsh", perturbed)
+    mesh = mesh2 if all_pairs else mesh3
     system = assemble(metric, mesh)
     with pytest.raises(NumericError, match="residual"):
-        eigenvalues(system, 2 if path == "arpack" else mesh.n_rep - 2)
+        eigenvalues(system, mesh.n_rep - 1 if all_pairs else 2)
 
 
 def test_arpack_breakdown_is_a_numeric_error(surface, mesh3, monkeypatch):
@@ -233,30 +267,25 @@ def test_arpack_breakdown_is_a_numeric_error(surface, mesh3, monkeypatch):
         eigenvalues(system, 2)
 
 
-@pytest.fixture(scope="module")
-def small_eps_meshes(surface):
-    return {level: build_mesh(surface.domain, level) for level in (1, 2, 3)}
-
-
 @pytest.mark.parametrize("k", [2, 10])
 @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-20, 1e-40, 1e-100])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_small_eps_shrinker_residuals_stay_near_the_rounding_floor(
-        surface, small_eps_meshes, level, eps, k):
+        surface, small_meshes, level, eps, k):
     # the systole's masses fall like eps^2: every pair of these ARPACK solves
     # must land within 50 rounding floors of the residual tolerance, far
     # inside the gate's ROUNDING_SLACK
     system = assemble(families.make(surface, "shrinker", eps=eps, delta=0.1),
-                      small_eps_meshes[level])
+                      small_meshes[level])
     res = eigenvalues(system, k)
     _, _, floor = _residuals(system, res.eigenvalues, res.vectors)
     bound = spectral.RESIDUAL_TOL * (1.0 + res.eigenvalues) + 50.0 * floor
     assert np.all(res.residuals <= bound)
 
 
-def test_small_eps_shrinker_lambda1_agrees_across_k(surface, small_eps_meshes):
+def test_small_eps_shrinker_lambda1_agrees_across_k(surface, small_meshes):
     system = assemble(families.make(surface, "shrinker", eps=1e-4, delta=0.1),
-                      small_eps_meshes[2])
+                      small_meshes[2])
     lam1 = eigenvalues(system, 2).eigenvalues[1]
     assert lam1 == pytest.approx(3.61749747, abs=5e-9)
     assert lam1 == pytest.approx(eigenvalues(system, 1).eigenvalues[1], rel=1e-12)

@@ -121,7 +121,7 @@ def test_mesh_json_roundtrip(mesh2):
 def test_replace_starts_mesh_caches_empty(surface, mesh2):
     cached = dataclasses.replace(mesh2)
     assert cached._cache == {}
-    spectral.dissection_order(cached)
+    spectral._factor_pattern(cached)
     diameter_estimate(base_metric(surface), cached)
     base_spectrum(surface, cached, 2)
     assert set(cached._cache) == {

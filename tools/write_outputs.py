@@ -5,12 +5,13 @@
 writes, through the command-line entry point of the `src` tree next to
 this script:
 
-- the default CLI sweep CSVs at levels 3 and 5;
+- the default CLI sweep CSVs at levels 0, 3 and 5;
 - for each of 32 members (base, the 28 default-grid members and three
   off-centre ones), its descriptor, its level-3 k = 10 verify report and
   its level-4 k = 10 spectrum CSV;
 - the level-5 k = 10 verify reports of base and of the first default-grid
-  member of each family;
+  member of each family, and their level-1 k = 12 spectrum CSVs (all but
+  one pair of the 14-vertex mesh);
 - every command's exit code and standard output, in `commands.txt`.
 
 Run it on two checkouts and compare with `diff -r DIR_A DIR_B`: a change
@@ -59,7 +60,7 @@ def main(out_dir):
 
     with open(path("sweep_config.json"), "w") as fh:
         json.dump({"version": 1}, fh)
-    for level in (3, 5):
+    for level in (0, 3, 5):
         run("sweep", "--config", path("sweep_config.json"), "--level", level,
             "--out", path(f"sweep_l{level}.csv"))
 
@@ -77,6 +78,8 @@ def main(out_dir):
     for name in first_of_family.values():
         run("verify", "--metric", path(f"{name}.json"), "--level", 5, "--k", 10,
             "--report", path(f"{name}.verify_l5.json"))
+        run("spectrum", "--metric", path(f"{name}.json"), "--level", 1, "--k", 12,
+            "--out", path(f"{name}.spectrum_l1.csv"))
 
     with open(path("commands.txt"), "w") as fh:
         fh.write("".join(log).replace(out_dir, "DIR"))
