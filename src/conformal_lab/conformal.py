@@ -30,8 +30,11 @@ class ScalarField:
 
     A family supplies u, its Laplacian, its extrema and two chart
     quadratures; the curvature, area, Gauss-Bonnet and entropy checks read
-    nothing else.  A family field also gives with_C(C), the same member at
-    another C, and owns the C-free table that it shares; ConstantField needs neither.
+    nothing else.  Of a field's attributes only C, the normalization
+    constant, depends on C: everything else, the member's tables included,
+    is built once per member, and with_C(C) is the same member at another
+    C, sharing all of it.  normalizing_C(target) solves for the C that
+    makes the area the target.
     """
 
     #: True when the family proves 1 + L_sigma u >= 0 by construction.
@@ -66,27 +69,40 @@ class ScalarField:
         """
         return np.empty(0), np.empty(0)
 
+    def with_C(self, C):
+        """The same member over the constant C; the copy shares every other
+        attribute with this one."""
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, "C": float(C)}
+        return twin
+
+    def normalizing_C(self, target):
+        """C with area(C) = target, by bisection on [-1, 1] (area increases
+        with C).  A constant field solves to exactly 0.0 at the first
+        midpoint."""
+        return normalize_area(lambda c: self.with_C(c).exp_integral(2), target, -1.0, 1.0)
+
 
 class ConstantField(ScalarField):
-    """u identically constant (the base metric when the constant is 0)."""
+    """u identically C (the base metric when C is 0)."""
 
     curvature_sign_certificate = True
 
-    def __init__(self, value, base_area):
-        self.value = float(value)
+    def __init__(self, base_area):
         self.base_area = float(base_area)
+        self.C = 0.0
 
     def values(self, x, y):
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.value)
+        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.C)
 
     def laplacian(self, x, y):
         return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
 
     def bounds(self):
-        return self.value, self.value
+        return self.C, self.C
 
     def exp_integral(self, power):
-        return self.base_area * math.exp(power * self.value)
+        return self.base_area * math.exp(power * self.C)
 
     def laplacian_integral(self):
         return 0.0
@@ -131,8 +147,9 @@ NORMALIZE_TOL = 1e-10     # bisection stops once the bracket is this narrow
 NORMALIZE_MAX_ITER = 200  # or, failing that, after this many steps
 
 
-def make_metric(surface, field, family, params, C):
-    """Package a normalized field, checking the area invariant."""
+def make_metric(surface, field, family, params):
+    """Package a field at its normalization constant field.C, checking the
+    area invariant."""
     try:
         with np.errstate(over="raise"):
             area = field.exp_integral(2)
@@ -150,17 +167,16 @@ def make_metric(surface, field, family, params, C):
         field=field,
         family=family,
         params=dict(params),
-        C=float(C),
+        C=float(field.C),
         area=float(area),
         u_min=float(lo),
         u_max=float(hi),
     )
 
 
-def base_metric(surface: HyperbolicSurface, C=0.0) -> ConformalMetric:
-    """sigma as the constant field u = C; its area check, like every
-    family's, rejects a stored C that does not normalize the area."""
-    return make_metric(surface, ConstantField(C, surface.total_area), "base", {}, C)
+def base_metric(surface: HyperbolicSurface) -> ConformalMetric:
+    """sigma itself, the constant field u = 0."""
+    return make_metric(surface, ConstantField(surface.total_area), "base", {})
 
 
 def normalize_area(area_of_C, target, lo, hi):

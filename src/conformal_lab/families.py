@@ -21,16 +21,17 @@ order 1, and the other Laplacians, their integrals and the shrinker's
 collar table the full jet.  Every entry is the same expression at every
 order, so it is the same to the bit.
 
-Every builder takes a stored normalization constant C or solves
-area(C) = area(sigma) for one through field.with_C(c).exp_integral(2), on
-the exact zone-quadrature area; conformal.make_metric checks the area at
-that C.  Each member builds its C-free table once and with_C shares it:
+Each family is a private builder that checks its parameters and returns
+its field at C = 0, every table that does not depend on C built once, and
+its descriptor parameters.  make alone settles C: it takes a stored one,
+or solves area(C) = area(sigma) through field.normalizing_C on the exact
+zone-quadrature area, and conformal.make_metric checks the area at
+field.with_C(C):
 
 - shrinker: bisection on the collar quadrature;
 - stretcher, dumbbell: the area is quadratic in C, so three quadratures
   and the positive root (conformal.normalize_area_quadratic);
-- nonpositive_radial: bisection on e^{2C} times a C-free ball integral
-  that the table keeps.
+- nonpositive_radial: bisection on e^{2C} times a C-free ball integral.
 
 conformal.nonpositivity_check alone decides the curvature sign.
 """
@@ -159,34 +160,24 @@ def _simpson_log(fn, lo, hi, n=8193):
 MIN_COLLAR_DELTA = 1e-10
 
 
-class _CollarTable:
-    """phi, phi', phi'', cosh r and tanh r on the collar grid [0, delta],
-    with its Simpson weights: C-free, so built once per member and shared
-    by its fields at every C."""
-
-    def __init__(self, delta):
-        r = np.linspace(0.0, delta, 4097)
-        self.phi, self.d1, self.d2 = bump_jet(r, delta)
-        self.cosh, self.tanh = np.cosh(r), np.tanh(r)
-        self.weights = _simpson_weights(r)
-
-
 class ShrinkerField(conformal.ScalarField):
     """u = -log(sys/eps) * phi(|r|; delta) + C (1 - phi), |r| the collar
-    coordinate (signed distance from the systole geodesic)."""
+    coordinate (signed distance from the systole geodesic).
 
-    def __init__(self, sys_length, base_area, eps, delta, C, table=None):
+    phi, phi', phi'', cosh r and tanh r on the collar grid [0, delta], with
+    its Simpson weights, are C-free."""
+
+    def __init__(self, sys_length, base_area, eps, delta):
         self.sys = float(sys_length)
         self.base_area = float(base_area)
         self.eps = float(eps)
         self.delta = float(delta)
-        self.C = float(C)
+        self.C = 0.0
         self.depth = math.log(self.sys / self.eps)  # u on the geodesic is -depth
-        self.table = _CollarTable(self.delta) if table is None else table
-
-    def with_C(self, C):
-        """The same member over the constant C, sharing its table."""
-        return ShrinkerField(self.sys, self.base_area, self.eps, self.delta, C, self.table)
+        r = np.linspace(0.0, self.delta, 4097)
+        self.phi, self.d1, self.d2 = bump_jet(r, self.delta)
+        self.cosh, self.tanh = np.cosh(r), np.tanh(r)
+        self.weights = _simpson_weights(r)
 
     def _profile_jet(self, r_abs, order=2):
         """u and its first `order` derivatives in |r|."""
@@ -206,25 +197,23 @@ class ShrinkerField(conformal.ScalarField):
         return min(-self.depth, self.C), max(-self.depth, self.C)
 
     def exp_integral(self, power):
-        t = self.table
-        v = self.C - (self.depth + self.C) * t.phi
-        collar = 2.0 * self.sys * _simpson_apply(t.weights, np.exp(power * v) * t.cosh)
+        v = self.C - (self.depth + self.C) * self.phi
+        collar = 2.0 * self.sys * _simpson_apply(self.weights, np.exp(power * v) * self.cosh)
         outside = self.base_area - 2.0 * self.sys * math.sinh(self.delta)
         return collar + math.exp(power * self.C) * outside
 
     def laplacian_integral(self):
-        t = self.table
         amp = self.depth + self.C
-        lap = (-amp * t.d2 + t.tanh * (-amp * t.d1)) * t.cosh
-        return 2.0 * self.sys * _simpson_apply(t.weights, lap)
+        lap = (-amp * self.d2 + self.tanh * (-amp * self.d1)) * self.cosh
+        return 2.0 * self.sys * _simpson_apply(self.weights, lap)
 
     def sign_probe_points(self):
         z = fermi_points(np.linspace(0.0, self.delta, 2049), 0.0)
         return z.real, z.imag
 
 
-def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
-    """Metric that shrinks the systole geodesic to g-length eps."""
+def _shrinker(surface, eps, delta):
+    """The member that shrinks the systole geodesic to g-length eps."""
     sys_length = surface.systole
     if not 0.0 < eps <= sys_length:
         raise ParameterError(
@@ -246,15 +235,8 @@ def systole_shrinker(surface, eps, delta, C=None) -> conformal.ConformalMetric:
             f"collar too large: sigma-area {collar_area:.4f} exceeds half "
             f"the surface area {surface.total_area:.4f}"
         )
-
-    field = ShrinkerField(sys_length, surface.total_area, eps, delta, 0.0)
-    if C is None:
-        C = conformal.normalize_area(
-            lambda c: field.with_C(c).exp_integral(2), surface.total_area, -1.0, 1.0
-        )
-    return conformal.make_metric(
-        surface, field.with_C(C), "shrinker", {"eps": eps, "delta": delta}, C
-    )
+    field = ShrinkerField(sys_length, surface.total_area, eps, delta)
+    return field, {"eps": eps, "delta": delta}
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +251,34 @@ MIN_SPIKE_DELTA = 0.005
 
 
 class _PowerSpike:
-    """Radial profile rho(r): inner plateau, r^{-(1-delta/2)} power zone on
-    [exp(-1/delta), eps/2], constant C past eps; conformal factor e^u = rho."""
+    """Radial profile rho(r) = a(r) + b(r) C: inner plateau,
+    r^{-(1-delta/2)} power zone on [exp(-1/delta), eps/2], constant C past
+    eps; conformal factor e^u = rho.
 
-    def __init__(self, base_area, eps, delta, C, zones=None):
+    The spike is C-free: the methods that depend on C take it.  Its zone
+    grids, two in log r and one in r, keep the C-free columns r, dr over
+    the Simpson variable, sinh r, the Simpson weights, a and b.
+    """
+
+    def __init__(self, base_area, eps, delta):
         self.base_area = base_area
         self.eps = eps
         self.delta = delta
-        self.C = C
         self.p_exp = 1.0 - 0.5 * delta
         self.r1 = math.exp(-1.0 / delta)
         self.log_amp = -0.5 * delta * math.log(0.5 * eps) + 0.5 * math.log(
             base_area * delta / (16.0 * math.pi)
         )
         self.log_inner = self.log_amp + self.p_exp * (math.log(2.0) + 1.0 / delta)
-        self.zones = _SpikeZones(self) if zones is None else zones
+        self.grids = []
+        for x, log in (
+            (np.linspace(math.log(0.5 * self.r1), math.log(self.r1), 2049), True),
+            (np.linspace(math.log(self.r1), math.log(0.5 * eps), 2049), True),
+            (np.linspace(0.5 * eps, eps, 2049), False),
+        ):
+            r = np.exp(x) if log else x
+            (a, b), = self.affine_jet(r, 0)
+            self.grids.append((r, r if log else 1.0, np.sinh(r), _simpson_weights(x), a, b))
 
     def affine_jet(self, r, order=2):
         """rho and its first `order` r-derivatives at radii r, as pairs
@@ -310,17 +305,17 @@ class _PowerSpike:
             jet.append((pe[2] * bv + 2.0 * pe[1] * bd + pe[0] * bdd, -pe[2]))
         return tuple(jet)
 
-    def rho(self, r):
+    def rho(self, r, C):
         (a, b), = self.affine_jet(r, 0)
-        return a + b * self.C
+        return a + b * C
 
-    def u_values(self, r):
-        return np.log(self.rho(r))
+    def u_values(self, r, C):
+        return np.log(self.rho(r, C))
 
-    def laplacian(self, r):
+    def laplacian(self, r, C):
         """u'' + coth(r) u' for the radial profile u = log rho."""
         r = np.asarray(r, dtype=float)
-        rv, rd, rdd = (a + b * self.C for a, b in self.affine_jet(r))
+        rv, rd, rdd = (a + b * C for a, b in self.affine_jet(r))
         u1 = rd / rv
         u2 = rdd / rv - u1 * u1
         coth_term = np.zeros_like(r)
@@ -328,23 +323,26 @@ class _PowerSpike:
         coth_term[m] = u1[m] / np.tanh(r[m])
         return u2 + coth_term
 
-    def ball_exp_integral(self, power):
+    def _integrate(self, fn):
+        """Sum over the zones of the integral of fn(r, a, b) 2 pi sinh r dr."""
+        total = 0.0
+        for r, dr, sinh, weights, a, b in self.grids:
+            total += _simpson_apply(weights, fn(r, a, b) * TWO_PI * sinh * dr)
+        return total
+
+    def ball_exp_integral(self, power, C):
         """Integral of e^{power u} over the sigma-ball of radius eps."""
         plateau = math.exp(power * self.log_inner) * (
             4.0 * math.pi * math.sinh(0.25 * self.r1) ** 2
         )
+        return plateau + self._integrate(lambda r, a, b: (a + b * C) ** power)
 
-        def fn(r, a, b):
-            return (a + b * self.C) ** power
+    def ball_laplacian_integral(self, C):
+        return self._integrate(lambda r, a, b: self.laplacian(r, C))
 
-        return plateau + self.zones.integrate(fn)
-
-    def ball_laplacian_integral(self):
-        return self.zones.integrate(lambda r, a, b: self.laplacian(r))
-
-    def radial_segment_length(self):
+    def radial_segment_length(self, C):
         """Quadrature g-length of the radial segment r in [r1, eps/2]."""
-        return _simpson_log(self.rho, self.r1, 0.5 * self.eps)
+        return _simpson_log(lambda r: self.rho(r, C), self.r1, 0.5 * self.eps)
 
     def radial_length_bound(self):
         """Closed-form lower bound for the power-zone radial g-length."""
@@ -379,7 +377,7 @@ class _PowerSpike:
 
         return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
-    def annulus_area(self):
+    def annulus_area(self, C):
         """g-area of the ramp annulus [r1, eps/2].
 
         The ramp is linear in the g-radial coordinate there, so this area
@@ -388,19 +386,20 @@ class _PowerSpike:
         """
 
         def fn(r):
-            rv = self.rho(r)
+            rv = self.rho(r, C)
             return rv * rv * TWO_PI * np.sinh(r)
 
         return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
-    def sampled_min_u(self):
+    def sampled_min_u(self, C):
+        """min u over radii through both transition zones, out to eps."""
         r = np.concatenate(
             [
                 np.geomspace(0.5 * self.r1, 0.5 * self.eps, 4097),
                 np.linspace(0.5 * self.eps, self.eps, 4097),
             ]
         )
-        return float(min(np.min(self.u_values(r)), math.log(self.C)))
+        return float(np.min(self.u_values(r, C)))
 
     def probe_radii(self):
         """Radii resolving the inner and outer transition zones."""
@@ -412,32 +411,80 @@ class _PowerSpike:
         )
 
 
-class _SpikeZones:
-    """The spike's zone grids, two in log r and one in r, with their C-free
-    columns: r, dr over the Simpson variable, sinh r, the Simpson weights
-    and rho = a + b C.  Built once per member, shared at every C."""
+class SpikeField(conformal.ScalarField):
+    """One power spike rho(d_sigma(., a)) at each anchor a over the constant
+    background C: one anchor makes the stretcher, two the dumbbell.
 
-    def __init__(self, spike):
-        r1, half, eps = spike.r1, 0.5 * spike.eps, spike.eps
-        self.grids = []
-        for x, log in (
-            (np.linspace(math.log(0.5 * r1), math.log(r1), 2049), True),
-            (np.linspace(math.log(r1), math.log(half), 2049), True),
-            (np.linspace(half, eps, 2049), False),
-        ):
-            r = np.exp(x) if log else x
-            (a, b), = spike.affine_jet(r, 0)
-            self.grids.append((r, r if log else 1.0, np.sinh(r), _simpson_weights(x), a, b))
+    The area is quadratic in C, so normalizing_C takes its positive root
+    (conformal.normalize_area_quadratic)."""
 
-    def integrate(self, fn):
-        """Sum over the zones of the integral of fn(r, a, b) 2 pi sinh r dr."""
-        total = 0.0
-        for r, dr, sinh, weights, a, b in self.grids:
-            total += _simpson_apply(weights, fn(r, a, b) * TWO_PI * sinh * dr)
+    def __init__(self, base_area, anchors, eps, delta):
+        self.base_area = float(base_area)
+        self.anchors = tuple(complex(a) for a in anchors)
+        self.eps = float(eps)
+        self.delta = float(delta)
+        self.C = 0.0
+        self.spike = _PowerSpike(self.base_area, self.eps, self.delta)
+
+    def normalizing_C(self, target):
+        return conformal.normalize_area_quadratic(
+            lambda c: self.with_C(c).exp_integral(2), target
+        )
+
+    def _log_C(self):
+        """log C of the background; a C <= 0 can only have been stored."""
+        if not self.C > 0.0:
+            # the area is quadratic in C, so a negative root normalizes it too
+            raise UsageError(f"spike field: stored C={self.C!r} is not positive")
+        return math.log(self.C)
+
+    def _add_spikes(self, x, y, total, profile):
+        """total plus profile(r) inside each anchor's eps-ball, r the
+        sigma-distance to the anchor.
+
+        The spikes have disjoint supports, and past eps rho is exactly C,
+        so both the deviation of u from log C and the Laplacian are
+        exactly 0 there and profile is never evaluated.
+        """
+        for anchor in self.anchors:
+            r = distances_to(x, y, anchor)
+            inside = r < self.eps
+            term = np.zeros_like(r)
+            term[inside] = profile(r[inside])
+            total = total + term
         return total
 
+    def values(self, x, y):
+        logC = self._log_C()
+        return self._add_spikes(x, y, logC, lambda r: self.spike.u_values(r, self.C) - logC)
 
-def _spike_checks(surface, eps, delta, anchors):
+    def laplacian(self, x, y):
+        return self._add_spikes(x, y, 0.0, lambda r: self.spike.laplacian(r, self.C))
+
+    def bounds(self):
+        logC = self._log_C()
+        return min(self.spike.sampled_min_u(self.C), logC), self.spike.log_inner
+
+    def exp_integral(self, power):
+        n = len(self.anchors)
+        ball_sigma = 4.0 * math.pi * math.sinh(0.5 * self.eps) ** 2
+        return n * self.spike.ball_exp_integral(power, self.C) + self.C**power * (
+            self.base_area - n * ball_sigma
+        )
+
+    def laplacian_integral(self):
+        return len(self.anchors) * self.spike.ball_laplacian_integral(self.C)
+
+    def sign_probe_points(self):
+        # the spike is radial, so one ray per anchor samples every value
+        # the sign scan could see
+        radii = self.spike.probe_radii()
+        rays = np.concatenate([polar_points(a, radii) for a in self.anchors])
+        return rays.real, rays.imag
+
+
+def _spike(surface, anchors, eps, delta):
+    """The stretcher (one anchor) or dumbbell (two anchors) member."""
     if eps <= 0.0:
         raise ParameterError(f"spike radius eps must be positive, got {eps}")
     if delta <= 0.0 or delta * math.log(2.0 / eps) >= 1.0:
@@ -464,90 +511,15 @@ def _spike_checks(surface, eps, delta, anchors):
                 f"anchors at distance {sep:.4f} overlap: "
                 f"need d(p, q) > 2 eps = {2 * eps}"
             )
-
-
-class SpikeField(conformal.ScalarField):
-    """One power spike rho(d_sigma(., a)) at each anchor a over the constant
-    background C: one anchor makes the stretcher, two the dumbbell."""
-
-    def __init__(self, base_area, anchors, eps, delta, C, zones=None):
-        self.base_area = float(base_area)
-        self.anchors = tuple(complex(a) for a in anchors)
-        self.eps = float(eps)
-        self.delta = float(delta)
-        self.C = float(C)
-        self.spike = _PowerSpike(self.base_area, self.eps, self.delta, self.C, zones)
-
-    def with_C(self, C):
-        """The same member over the constant C, sharing its zone table."""
-        return SpikeField(
-            self.base_area, self.anchors, self.eps, self.delta, C, self.spike.zones
-        )
-
-    def _add_spikes(self, x, y, total, profile):
-        """total plus profile(r) inside each anchor's eps-ball, r the
-        sigma-distance to the anchor.
-
-        The spikes have disjoint supports, and past eps rho is exactly C,
-        so both the deviation of u from log C and the Laplacian are
-        exactly 0 there and profile is never evaluated.
-        """
-        for anchor in self.anchors:
-            r = distances_to(x, y, anchor)
-            inside = r < self.eps
-            term = np.zeros_like(r)
-            term[inside] = profile(r[inside])
-            total = total + term
-        return total
-
-    def values(self, x, y):
-        logC = math.log(self.C)
-        return self._add_spikes(x, y, logC, lambda r: self.spike.u_values(r) - logC)
-
-    def laplacian(self, x, y):
-        return self._add_spikes(x, y, 0.0, self.spike.laplacian)
-
-    def bounds(self):
-        return self.spike.sampled_min_u(), self.spike.log_inner
-
-    def exp_integral(self, power):
-        n = len(self.anchors)
-        ball_sigma = 4.0 * math.pi * math.sinh(0.5 * self.eps) ** 2
-        return n * self.spike.ball_exp_integral(power) + self.C**power * (
-            self.base_area - n * ball_sigma
-        )
-
-    def laplacian_integral(self):
-        return len(self.anchors) * self.spike.ball_laplacian_integral()
-
-    def sign_probe_points(self):
-        # the spike is radial, so one ray per anchor samples every value
-        # the sign scan could see
-        radii = self.spike.probe_radii()
-        rays = np.concatenate([polar_points(a, radii) for a in self.anchors])
-        return rays.real, rays.imag
-
-
-def _spike_metric(surface, family, anchors, eps, delta, C):
-    """The stretcher (one anchor) or dumbbell (two anchors) member."""
-    _spike_checks(surface, eps, delta, anchors)
-    if C is not None and not C > 0.0:
-        # the area is quadratic in C, so a negative root normalizes it too
-        raise UsageError(f"family '{family}': stored C={C!r} is not positive")
-    field = SpikeField(surface.total_area, anchors, eps, delta, 0.0)
-    if C is None:
-        C = conformal.normalize_area_quadratic(
-            lambda c: field.with_C(c).exp_integral(2), surface.total_area
-        )
     params = {"eps": eps, "delta": delta}
     for key, anchor in zip("pq", anchors):
         params[key] = [anchor.real, anchor.imag]
-    return conformal.make_metric(surface, field.with_C(C), family, params, C)
+    return SpikeField(surface.total_area, anchors, eps, delta), params
 
 
-def diameter_stretcher(surface, p, eps, delta, C=None) -> conformal.ConformalMetric:
-    """Metric growing a long thin spike at p (diameter blows up as delta->0)."""
-    return _spike_metric(surface, "stretcher", (_as_complex(p),), eps, delta, C)
+def _stretcher(surface, eps, delta, p):
+    """A long thin spike at p (diameter blows up as delta -> 0)."""
+    return _spike(surface, (p,), eps, delta)
 
 
 def default_dumbbell_anchors(surface):
@@ -557,17 +529,14 @@ def default_dumbbell_anchors(surface):
     return complex(-half_x, 0.0), complex(half_x, 0.0)
 
 
-def dumbbell(surface, p, q, eps, delta, C=None) -> conformal.ConformalMetric:
-    """Metric with two stretched bulbs joined by a thin neck (lambda_1 -> 0).
-
-    p = q = None places the spikes at the default anchors.
-    """
+def _dumbbell(surface, eps, delta, p, q):
+    """Two stretched bulbs joined by a thin neck (lambda_1 -> 0); p = q =
+    None places the spikes at the default anchors."""
     if p is None and q is None:
         p, q = default_dumbbell_anchors(surface)
     elif p is None or q is None:
         raise UsageError("family 'dumbbell' needs both anchors 'p' and 'q' or neither")
-    anchors = (_as_complex(p), _as_complex(q))
-    return _spike_metric(surface, "dumbbell", anchors, eps, delta, C)
+    return _spike(surface, (p, q), eps, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -582,24 +551,33 @@ class RadialSlopeField(conformal.ScalarField):
 
     Then 1 + L_sigma u = (1 - s) - tanh(r/2) s' >= 0 pointwise for
     amplitude in [0, 1], since s <= 1 and s' <= 0: the metric is
-    nonpositively curved by construction.
+    nonpositively curved by construction.  u - C = w(r) on the radial grid
+    r, and the integral of e^{power w} over the support ball, once per
+    power, are C-free.
     """
 
     curvature_sign_certificate = True
 
-    def __init__(self, base_area, center, amplitude, C, table=None):
+    def __init__(self, base_area, center, amplitude):
         self.base_area = float(base_area)
         self.center = complex(center)
         self.amplitude = float(amplitude)
-        self.C = float(C)
-        self.table = _RadialTable(self.amplitude) if table is None else table
+        self.C = 0.0
+        self.r = np.linspace(0.0, RADIAL_SUPPORT, 32769)
+        phi, = bump_jet(self.r, RADIAL_SUPPORT, 0)
+        slope = -np.tanh(0.5 * self.r) * self.amplitude * phi
+        self.w = _cumulative_trapezoid(slope, self.r)
+        self._inside = {}
 
-    def with_C(self, C):
-        """The same member over the constant C, sharing its table."""
-        return RadialSlopeField(self.base_area, self.center, self.amplitude, C, self.table)
+    def _inside_integral(self, power):
+        """Integral of e^{power w} over the support ball."""
+        if power not in self._inside:
+            y = np.exp(power * self.w) * TWO_PI * np.sinh(self.r)
+            self._inside[power] = _simpson(y, self.r)
+        return self._inside[power]
 
     def _w(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.table.r, self.table.w)
+        return np.interp(np.asarray(r, dtype=float), self.r, self.w)
 
     def _radial_laplacian(self, r):
         """L_sigma u = u'' + coth(r) u' = -s - tanh(r/2) s' as a function
@@ -615,64 +593,31 @@ class RadialSlopeField(conformal.ScalarField):
         return self._radial_laplacian(distances_to(x, y, self.center))
 
     def bounds(self):
-        return self.C + float(self.table.w[-1]), self.C
+        return self.C + float(self.w[-1]), self.C
 
     def exp_integral(self, power):
-        w_end = float(self.table.w[-1])
+        w_end = float(self.w[-1])
         ball_sigma = 4.0 * math.pi * math.sinh(0.5 * RADIAL_SUPPORT) ** 2
         outside = math.exp(power * w_end) * (self.base_area - ball_sigma)
-        return math.exp(power * self.C) * (self.table.inside(power) + outside)
+        return math.exp(power * self.C) * (self._inside_integral(power) + outside)
 
     def laplacian_integral(self):
-        r = self.table.r
-        return _simpson(self._radial_laplacian(r) * TWO_PI * np.sinh(r), r)
+        return _simpson(self._radial_laplacian(self.r) * TWO_PI * np.sinh(self.r), self.r)
 
 
-class _RadialTable:
-    """u - C = w(r) on the radial grid: C-free, so built once per member
-    and shared by its fields at every C."""
-
-    def __init__(self, amplitude):
-        r = np.linspace(0.0, RADIAL_SUPPORT, 32769)
-        phi, = bump_jet(r, RADIAL_SUPPORT, 0)
-        slope = -np.tanh(0.5 * r) * amplitude * phi
-        self.r = r
-        self.w = _cumulative_trapezoid(slope, r)
-        self._inside = {}
-
-    def inside(self, power):
-        """Integral of e^{power w} over the support ball, once per power."""
-        if power not in self._inside:
-            y = np.exp(power * self.w) * TWO_PI * np.sinh(self.r)
-            self._inside[power] = _simpson(y, self.r)
-        return self._inside[power]
-
-
-def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.ConformalMetric:
-    """Nonpositively curved test metric bulging around a center point."""
-    cz = _as_complex(center)
+def _radial(surface, center, amplitude):
+    """A nonpositively curved test metric bulging around a center point."""
     if not 0.0 <= amplitude <= 1.0:
         raise ParameterError(
             f"amplitude must lie in [0, 1] for the sign certificate, got {amplitude}"
         )
-    if disk_distance(0j, cz) > RADIAL_CENTER_MAX:
+    if disk_distance(0j, center) > RADIAL_CENTER_MAX:
         raise ParameterError(
             f"center must stay within sigma-distance {RADIAL_CENTER_MAX} of the "
             "origin so the support ball embeds"
         )
-
-    field = RadialSlopeField(surface.total_area, cz, amplitude, 0.0)
-    if C is None:
-        C = conformal.normalize_area(
-            lambda c: field.with_C(c).exp_integral(2), surface.total_area, -1.0, 1.0
-        )
-    return conformal.make_metric(
-        surface,
-        field.with_C(C),
-        "nonpositive_radial",
-        {"center": [cz.real, cz.imag], "amplitude": amplitude},
-        C,
-    )
+    params = {"center": [center.real, center.imag], "amplitude": amplitude}
+    return RadialSlopeField(surface.total_area, center, amplitude), params
 
 
 # ---------------------------------------------------------------------------
@@ -682,19 +627,17 @@ def nonpositive_radial(surface, center, amplitude, C=None) -> conformal.Conforma
 class Family(NamedTuple):
     """How one family is built and which parameters it takes."""
 
-    build: Callable   # build(surface, **params[, C]) -> ConformalMetric
+    build: Callable   # build(surface, **params) -> (field at C = 0, descriptor params)
     required: tuple   # parameter names without a default
     optional: dict    # parameter name -> default
 
 
 FAMILIES = {
-    "base": Family(conformal.base_metric, (), {}),
-    "shrinker": Family(systole_shrinker, ("eps", "delta"), {}),
-    "stretcher": Family(diameter_stretcher, ("eps", "delta"), {"p": 0j}),
-    "dumbbell": Family(dumbbell, ("eps", "delta"), {"p": None, "q": None}),
-    "nonpositive_radial": Family(
-        nonpositive_radial, ("amplitude",), {"center": 0j}
-    ),
+    "base": Family(lambda surface: (conformal.ConstantField(surface.total_area), {}), (), {}),
+    "shrinker": Family(_shrinker, ("eps", "delta"), {}),
+    "stretcher": Family(_stretcher, ("eps", "delta"), {"p": 0j}),
+    "dumbbell": Family(_dumbbell, ("eps", "delta"), {"p": None, "q": None}),
+    "nonpositive_radial": Family(_radial, ("amplitude",), {"center": 0j}),
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
@@ -762,17 +705,22 @@ def make(surface, /, family, C=None, **params):
     This is the one place family parameters are checked: an unknown family
     is a ParameterError; a missing or unknown key, or a value of the wrong
     type, is a UsageError; a point outside the open unit disk is a
-    DomainError.  A stored normalization constant C skips the area solve;
-    one that does not normalize the area is a UsageError.
+    DomainError.  It is also the one place C is settled: the family builds
+    its field at C = 0, and make solves C through field.normalizing_C or
+    takes a stored C, which skips the solve; a stored C that does not
+    normalize the area is a UsageError.
     """
     spec = _family(family)
     _check_names(family, spec, params, complete=False)
     params = {key: _checked(family, key, value) for key, value in params.items()}
+    if C is not None:
+        C = _checked(family, "C", C)
+    field, params = spec.build(surface, **{**spec.optional, **params})
     if C is None:
-        return spec.build(surface, **{**spec.optional, **params})
-    params["C"] = _checked(family, "C", C)
+        C = field.normalizing_C(surface.total_area)
+        return conformal.make_metric(surface, field.with_C(C), family, params)
     try:
-        return spec.build(surface, **{**spec.optional, **params})
+        return conformal.make_metric(surface, field.with_C(C), family, params)
     except NormalizationError as exc:
         raise UsageError(f"stored C={C!r} does not normalize the area: {exc}") from exc
 

@@ -275,7 +275,7 @@ def verify_metric(metric, mesh, config=None) -> BoundsReport:
         spike = metric.field.spike
         entries.append(_check(
             "radial_spike_length", "families._PowerSpike.radial_segment_length",
-            spike.radial_segment_length(), spike.radial_length_bound(), ">=", SLACK_QUAD,
+            spike.radial_segment_length(metric.C), spike.radial_length_bound(), ">=", SLACK_QUAD,
         ))
 
     if family == "dumbbell":

@@ -246,6 +246,18 @@ class SpectralResult:
         return "\n".join(lines) + "\n"
 
 
+def _weighted_norm(x, mass, v_sq):
+    """||x||_{M^-1} / ||v||_M, given v_sq = ||v||_M^2.
+
+    x is scaled by an exact power of two first, as eigenvalues scales its
+    vectors, so x / mass does not overflow at tiny masses; the value is
+    otherwise that of sqrt(x M^-1 x / v_sq), to the bit.
+    """
+    e = int(np.frexp(max(x.max(), -x.min()))[1])
+    x = np.ldexp(x, -e)
+    return math.ldexp(math.sqrt(float(x @ (x / mass)) / v_sq), e)
+
+
 def _residuals(system, vals, vecs):
     """(residual, backward error, rounding floor) of each pair (lambda, v).
 
@@ -267,10 +279,11 @@ def _residuals(system, vals, vecs):
         v_sq = float(v @ (mass * v))
         r = K @ v - lam * (mass * v)
         f = abs_K @ np.abs(v) + lam * (mass * np.abs(v))
-        weighted[j] = math.sqrt(float(r @ (r / mass)) / v_sq)
-        floor[j] = np.finfo(float).eps * math.sqrt(float(f @ (f / mass)) / v_sq)
-        scaled[j] = float(np.linalg.norm(r)) / (
-            (norm_K + abs(lam) * norm_M) * float(np.linalg.norm(v))
+        weighted[j] = _weighted_norm(r, mass, v_sq)
+        floor[j] = np.finfo(float).eps * _weighted_norm(f, mass, v_sq)
+        # ||v|| divides first: times the matrix norms it would overflow
+        scaled[j] = float(np.linalg.norm(r)) / float(np.linalg.norm(v)) / (
+            norm_K + abs(lam) * norm_M
         )
     return weighted, scaled, floor
 
@@ -282,8 +295,9 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
     The other k are solved on the M-orthogonal complement of the
     constants by ARPACK, for every 1 <= k <= n - 1, and clipped at 0.  A
     pair whose residual exceeds RESIDUAL_TOL * (1 + lambda) +
-    ROUNDING_SLACK * floor is a NumericError, and so is every ARPACK
-    failure, breakdown as well as no convergence.
+    ROUNDING_SLACK * floor, or whose bound is not finite, is a
+    NumericError, and so is every ARPACK failure, breakdown as well as no
+    convergence.
     """
     n = system.mesh.n_rep
     if k < 0:
@@ -364,7 +378,7 @@ def eigenvalues(system: SpectralSystem, k: int) -> SpectralResult:
     vectors[:, 1:] = vecs
     weighted, scaled, floor = _residuals(system, vals, vectors)
     bound = RESIDUAL_TOL * (1.0 + vals) + ROUNDING_SLACK * floor
-    for i in np.flatnonzero(~(weighted <= bound)):  # NaN fails too
+    for i in np.flatnonzero(~((weighted <= bound) & np.isfinite(bound))):  # NaN fails too
         raise NumericError(f"eigenpair {i} has residual {weighted[i]:.3e} at lambda = "
                            f"{vals[i]:.6g}, above its bound {bound[i]:.3e}")
     return SpectralResult(

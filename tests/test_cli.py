@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 
 import pytest
 
@@ -218,7 +219,7 @@ def test_verify_stored_negative_root_exit_two(surface, tmp_path, capsys):
     area = surface.total_area
 
     def area_of(c):
-        return families.SpikeField(area, (0j,), 0.2, 0.1, c).exp_integral(2)
+        return families.SpikeField(area, (0j,), 0.2, 0.1).with_C(c).exp_integral(2)
 
     a = 0.5 * (area_of(1.0) + area_of(-1.0)) - area_of(0.0)
     b = 0.5 * (area_of(1.0) - area_of(-1.0))
@@ -302,6 +303,25 @@ def test_all_pairs_of_a_tiny_mass_shrinker_exit_three(tmp_path, capsys):
     ]) == 3
     assert "residual" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1e-150", "1e-100"])
+@pytest.mark.parametrize("delta", ["0.1", "0.01"])
+def test_tiny_mass_shrinker_spectrum_has_finite_residuals(tmp_path, eps, delta):
+    # masses of 4.5e-301 at eps 1e-150: the level-0 residual read inf, with
+    # three overflow warnings (errors here), and passed an inf bound
+    desc = tmp_path / "shrinker.json"
+    out = tmp_path / "spectrum.csv"
+    assert main([
+        "metric", "make", "--family", "shrinker", "--eps", eps,
+        "--delta", delta, "--out", str(desc),
+    ]) == 0
+    assert main([
+        "spectrum", "--k", "1", "--level", "0", "--metric", str(desc), "--out", str(out),
+    ]) == 0
+    rows = [line.split(", ") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(residual)) for _, _, residual, _ in rows)
 
 
 def test_failing_verify_exits_one_and_names_its_failures(tmp_path, capsys):

@@ -73,9 +73,9 @@ def test_base_curvature_is_minus_one(surface):
 
 def test_make_metric_rejects_area_mismatch(surface):
     # A nonzero constant scales the area by exp(2c); the guard must fire.
-    field = ConstantField(0.1, surface.total_area)
+    field = ConstantField(surface.total_area).with_C(0.1)
     with pytest.raises(NormalizationError):
-        make_metric(surface, field, "base", {}, 0.1)
+        make_metric(surface, field, "base", {})
 
 
 class _NanAreaField(ConstantField):
@@ -85,7 +85,7 @@ class _NanAreaField(ConstantField):
 
 def test_make_metric_rejects_a_nan_area(surface):
     with pytest.raises(NormalizationError, match="nan"):
-        make_metric(surface, _NanAreaField(0.0, surface.total_area), "base", {}, 0.0)
+        make_metric(surface, _NanAreaField(surface.total_area), "base", {})
 
 
 @pytest.mark.parametrize(

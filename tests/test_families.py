@@ -24,8 +24,6 @@ from conformal_lab.families import (
     _simpson,
     bump_jet,
     default_dumbbell_anchors,
-    dumbbell,
-    systole_shrinker,
 )
 from conformal_lab.geom import curve_length, systole_curve
 from conformal_lab.hyp import disk_distance, distances_to, polar_points
@@ -156,7 +154,7 @@ def test_bump_jet_of_each_order_is_the_full_jets_prefix(order, a):
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("eps, delta, C", [(0.2, 0.05, 0.98), (0.1, 0.01, 0.999)])
 def test_spike_jet_of_each_order_is_the_full_jets_prefix(surface, order, eps, delta, C):
-    spike = families._PowerSpike(surface.total_area, eps, delta, C)
+    spike = families._PowerSpike(surface.total_area, eps, delta)
     r = np.concatenate([jet_radii(spike.r1), np.geomspace(spike.r1, 0.5 * eps, 2001),
                         jet_radii(eps)])
     jet, full = spike.affine_jet(r, order), spike.affine_jet(r)
@@ -164,26 +162,26 @@ def test_spike_jet_of_each_order_is_the_full_jets_prefix(surface, order, eps, de
     for (a, b), (a_full, b_full) in zip(jet, full):
         assert np.array_equal(a, a_full)
         assert np.array_equal(b, b_full)
-    assert np.array_equal(spike.rho(r), full[0][0] + full[0][1] * C)
+    assert np.array_equal(spike.rho(r, C), full[0][0] + full[0][1] * C)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_shrinker_profile_of_each_order_is_the_full_jets_prefix(surface, order):
-    field = families.ShrinkerField(SYSTOLE, surface.total_area, 0.2, 0.1, 0.03)
+    field = families.ShrinkerField(SYSTOLE, surface.total_area, 0.2, 0.1).with_C(0.03)
     r = jet_radii(field.delta)
     assert_prefix_of_full_jet(field._profile_jet(r, order), field._profile_jet(r), order)
 
 
 @pytest.mark.parametrize("amplitude", [0.25, 1.0])
 def test_radial_profile_is_built_from_the_full_jet(surface, amplitude):
-    field = families.RadialSlopeField(surface.total_area, 0j, amplitude, 0.1)
+    field = families.RadialSlopeField(surface.total_area, 0j, amplitude).with_C(0.1)
     r = jet_radii(families.RADIAL_SUPPORT)
     phi, d1, _ = bump_jet(r, families.RADIAL_SUPPORT)
     assert np.array_equal(field._radial_laplacian(r),
                           -amplitude * phi - np.tanh(0.5 * r) * amplitude * d1)
-    grid = field.table.r
+    grid = field.r
     slope = -np.tanh(0.5 * grid) * amplitude * bump_jet(grid, families.RADIAL_SUPPORT)[0]
-    assert np.array_equal(field.table.w, _cumulative_trapezoid(slope, grid))
+    assert np.array_equal(field.w, _cumulative_trapezoid(slope, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +210,20 @@ def test_shrinker_area_is_normalized(surface):
 
 def test_shrinker_parameter_guards(surface):
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, 0.0, 0.1)
+        families.make(surface, "shrinker", eps=0.0, delta=0.1)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, SYSTOLE + 0.1, 0.1)
+        families.make(surface, "shrinker", eps=SYSTOLE + 0.1, delta=0.1)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, 0.2, 0.0)
+        families.make(surface, "shrinker", eps=0.2, delta=0.0)
     with pytest.raises(ParameterError):
-        systole_shrinker(surface, 0.2, 0.5)  # beyond embedded collar
+        families.make(surface, "shrinker", eps=0.2, delta=0.5)  # beyond embedded collar
 
 
 @pytest.mark.parametrize("eps", [1e-308, 5e-324])
 def test_shrinker_rejects_an_overflowing_depth(surface, eps):
     # systole/eps overflows to inf, which would make the area NaN
     with pytest.raises(ParameterError, match="overflows"):
-        systole_shrinker(surface, eps, 0.1)
+        families.make(surface, "shrinker", eps=eps, delta=0.1)
 
 
 @pytest.mark.parametrize("eps", [SYSTOLE, 0.2, 1e-5])
@@ -255,10 +253,10 @@ def test_stretcher_peak_and_segment_oracles(surface, delta, u_max, seg):
     metric = families.make(surface, "stretcher", eps=0.2, delta=delta)
     assert metric.u_max == pytest.approx(u_max, rel=1e-9)
     spike = metric.field.spike
-    assert spike.radial_segment_length() == pytest.approx(seg, rel=1e-9)
+    assert spike.radial_segment_length(metric.C) == pytest.approx(seg, rel=1e-9)
     # The power zone is an exact log profile, so the quadrature length and
     # the closed-form lower bound coincide to roundoff.
-    assert spike.radial_segment_length() == pytest.approx(
+    assert spike.radial_segment_length(metric.C) == pytest.approx(
         spike.radial_length_bound(), rel=1e-12
     )
 
@@ -359,7 +357,7 @@ def test_dumbbell_spikes_have_disjoint_supports(surface):
 
 
 def _recording(fn, seen):
-    return lambda r: seen.append(r) or fn(r)
+    return lambda r, C: seen.append(r) or fn(r, C)
 
 
 def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
@@ -375,8 +373,10 @@ def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
         # every anchor's full spike, deviation 0 past eps only by arithmetic
         expected_u = logC
         for r in radii:
-            expected_u = expected_u + (field.spike.u_values(r) - logC)
-        expected_lap = functools.reduce(np.add, [field.spike.laplacian(r) for r in radii])
+            expected_u = expected_u + (field.spike.u_values(r, field.C) - logC)
+        expected_lap = functools.reduce(
+            np.add, [field.spike.laplacian(r, field.C) for r in radii]
+        )
         seen_u, seen_lap = [], []
         field.spike.u_values = _recording(field.spike.u_values, seen_u)
         field.spike.laplacian = _recording(field.spike.laplacian, seen_lap)
@@ -401,14 +401,14 @@ def test_dumbbell_ramp_identity(surface):
     metric = families.make(surface, "dumbbell", eps=0.2, delta=0.1)
     spike = metric.field.spike
     energy = spike.ramp_energy()
-    area = spike.annulus_area()
+    area = spike.annulus_area(metric.C)
     dR = spike.radial_length_bound()
     assert energy == pytest.approx(area / (dR * dR), rel=1e-12)
 
 
 def test_dumbbell_overlapping_anchors_rejected(surface):
     with pytest.raises(ParameterError):
-        dumbbell(surface, -0.05 + 0j, 0.05 + 0j, 0.2, 0.1)
+        families.make(surface, "dumbbell", eps=0.2, delta=0.1, p=-0.05 + 0j, q=0.05 + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +600,21 @@ def test_each_member_builds_its_table_once(surface, monkeypatch, family):
     assert 0 < sum(points) <= budget
 
 
+#: one C-free array of each member's tables: the collar's phi, the spike's
+#: power-zone radii, the radial w
+TABLE_ARRAY = {
+    "shrinker": lambda field: field.phi,
+    "stretcher": lambda field: field.spike.grids[1][0],
+    "dumbbell": lambda field: field.spike.grids[1][0],
+    "nonpositive_radial": lambda field: field.w,
+}
+
+
 @pytest.mark.parametrize("family", TABLE_POINTS)
 def test_member_table_dies_with_the_member(surface, family):
     metric = families.make(surface, family, **TABLE_POINTS[family][0])
     field = metric.field
-    table = weakref.ref(field.spike.zones if family in ("stretcher", "dumbbell") else field.table)
+    table = weakref.ref(TABLE_ARRAY[family](field))
     del metric, field
     gc.collect()
     assert table() is None
@@ -617,6 +627,19 @@ CONTRACT_PARAMS = {
     "dumbbell": {"eps": 0.1, "delta": 0.05},
     "nonpositive_radial": {"amplitude": 0.75},
 }
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_with_C_shares_every_attribute_but_C(surface, family):
+    field = families.make(surface, family, **CONTRACT_PARAMS[family]).field
+    C = field.C
+    twin = field.with_C(C + 0.5)
+    assert type(twin) is type(field)
+    assert twin.C == C + 0.5 and field.C == C
+    assert vars(twin).keys() == vars(field).keys()
+    for name, value in vars(field).items():
+        if name != "C":
+            assert getattr(twin, name) is value, name
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -677,7 +700,7 @@ def test_radial_constant_matches_full_field_bisection(surface, amp, center):
     # rebuilds the whole field at every step.  Both must give the same bits.
     area = surface.total_area
     oracle = conformal.normalize_area(
-        lambda c: families.RadialSlopeField(area, center, amp, c).exp_integral(2),
+        lambda c: families.RadialSlopeField(area, center, amp).with_C(c).exp_integral(2),
         area, -1.0, 1.0,
     )
     metric = families.make(surface, "nonpositive_radial", amplitude=amp, center=center)

@@ -11,8 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conformal_lab
-from conformal_lab import cli, families
+from conformal_lab import cli, conformal, families
 from conformal_lab.spectral import SpectralResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +32,8 @@ UNUSED_SCIPY = (
 IMPORT_PROBE = """
 import json, sys
 from pathlib import Path
+
+import pytest
 import conformal_lab
 from conformal_lab.cli import main
 
@@ -70,6 +74,28 @@ def test_benchmark_tracer_targets_resolve():
     ]
     assert missing == []
     assert "backward_errors" in SpectralResult.__dataclass_fields__
+
+
+@pytest.mark.parametrize("family, params", [
+    ("shrinker", {"eps": 0.2, "delta": 0.1}),
+    ("nonpositive_radial", {"amplitude": 0.5}),
+])
+def test_bisection_is_looked_up_at_its_module_attribute(monkeypatch, family, params):
+    """The benchmark's tracer counts area evaluations by replacing
+    conformal.normalize_area on the module, so a bisecting family must
+    look it up there at call time, not keep its own reference."""
+    calls = []
+    original = conformal.normalize_area
+
+    def replacement(area_of_C, target, lo, hi):
+        calls.append(target)
+        return original(area_of_C, target, lo, hi)
+
+    surface = conformal_lab.HyperbolicSurface()
+    expected = families.make(surface, family, **params).C
+    monkeypatch.setattr(conformal, "normalize_area", replacement)
+    assert families.make(surface, family, **params).C == expected
+    assert calls == [surface.total_area]
 
 
 def test_declared_numpy_floor_has_trapezoid():

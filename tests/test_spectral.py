@@ -283,6 +283,48 @@ def test_small_eps_shrinker_residuals_stay_near_the_rounding_floor(
     assert np.all(res.residuals <= bound)
 
 
+@pytest.mark.parametrize("eps", [1e-150, 1e-100])
+@pytest.mark.parametrize("delta", [0.1, 0.01])
+def test_tiny_mass_residuals_stay_finite_and_within_their_floor(
+        surface, small_meshes, eps, delta):
+    # masses of 4.5e-301 at eps 1e-150: r / mass overflowed (a warning, an
+    # error here), and the gate passed a residual of inf against a bound of inf
+    system = assemble(families.make(surface, "shrinker", eps=eps, delta=delta),
+                      small_meshes[0])
+    res = eigenvalues(system, 1)
+    weighted, scaled, floor = _residuals(system, res.eigenvalues, res.vectors)
+    for values in (weighted, scaled, floor):
+        assert np.all(np.isfinite(values))
+    assert np.all(weighted <= floor)
+
+
+def test_weighted_norm_scaling_changes_no_bit(surface, mesh3):
+    system = assemble(families.make(surface, "shrinker", eps=1e-8, delta=0.1), mesh3)
+    mass = system.mass
+    rng = np.random.default_rng(3)
+    for scale in (1e-30, 1e-8, 1.0, 1e8, 1e30):
+        x = scale * rng.standard_normal(len(mass))
+        v_sq = float(rng.uniform(0.5, 2.0))
+        assert spectral._weighted_norm(x, mass, v_sq) == math.sqrt(
+            float(x @ (x / mass)) / v_sq
+        )
+
+
+def test_residual_gate_fails_a_bound_that_is_not_finite(surface, mesh3, monkeypatch):
+    # inf <= inf held, so an overflowing floor passed any residual
+    original = spectral._residuals
+
+    def overflowing(system, vals, vecs):
+        weighted, scaled, floor = original(system, vals, vecs)
+        floor[-1] = math.inf
+        return weighted, scaled, floor
+
+    monkeypatch.setattr(spectral, "_residuals", overflowing)
+    system = assemble(base_metric(surface), mesh3)
+    with pytest.raises(NumericError, match="eigenpair 2 .* above its bound inf"):
+        eigenvalues(system, 2)
+
+
 def test_small_eps_shrinker_lambda1_agrees_across_k(surface, small_meshes):
     system = assemble(families.make(surface, "shrinker", eps=1e-4, delta=0.1),
                       small_meshes[2])

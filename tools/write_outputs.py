@@ -12,6 +12,9 @@ this script:
 - the level-5 k = 10 verify reports of base and of the first default-grid
   member of each family, and their level-1 k = 12 spectrum CSVs (all but
   one pair of the 14-vertex mesh);
+- the level-0 k = 1 spectrum CSVs of two shrinkers whose masses reach
+  near the bottom of the float range (eps 1e-150 and 1e-100, delta 0.01),
+  where an eigenpair's residual norms overflow unless they are scaled;
 - every command's exit code and standard output, in `commands.txt`.
 
 Run it on two checkouts and compare with `diff -r DIR_A DIR_B`: a change
@@ -28,6 +31,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from conformal_lab import cli, conformal, families, report  # noqa: E402
 from conformal_lab.surface import HyperbolicSurface  # noqa: E402
+
+#: shrinkers whose tiny masses test the residual norms' scaling
+TINY_MASS = [{"eps": 1e-150, "delta": 0.01}, {"eps": 1e-100, "delta": 0.01}]
 
 OFF_CENTRE = [
     {"family": "stretcher", "eps": 0.2, "delta": 0.1, "p": [0.2, 0.1]},
@@ -80,6 +86,13 @@ def main(out_dir):
             "--report", path(f"{name}.verify_l5.json"))
         run("spectrum", "--metric", path(f"{name}.json"), "--level", 1, "--k", 12,
             "--out", path(f"{name}.spectrum_l1.csv"))
+    for i, params in enumerate(TINY_MASS):
+        name = f"tiny_mass_{i}_shrinker"
+        doc = conformal.to_descriptor(families.make(surface, "shrinker", **params))
+        with open(path(f"{name}.json"), "w") as fh:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+        run("spectrum", "--metric", path(f"{name}.json"), "--level", 0, "--k", 1,
+            "--out", path(f"{name}.spectrum_l0.csv"))
 
     with open(path("commands.txt"), "w") as fh:
         fh.write("".join(log).replace(out_dir, "DIR"))
