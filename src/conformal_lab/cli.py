@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     mesh_build = mesh_sub.add_parser("build", help="subdivide and glue the octagon")
     mesh_build.add_argument("--level", type=int, required=True)
     mesh_build.add_argument("--out", default=None, help="write mesh JSON here")
+    mesh_build.set_defaults(run=_cmd_mesh_build)
 
     metric = sub.add_parser("metric", help="metric constructors")
     metric_sub = metric.add_subparsers(dest="metric_command", required=True)
@@ -55,23 +56,27 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"parameter of {', '.join(names)}",
         )
     make.add_argument("--out", default=None, help="write descriptor JSON here")
+    make.set_defaults(run=_cmd_metric_make)
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a saved metric")
     spectrum.add_argument("--metric", required=True, help="descriptor JSON path")
     spectrum.add_argument("--k", type=int, required=True)
     spectrum.add_argument("--level", type=int, default=3)
     spectrum.add_argument("--out", default=None, help="write spectrum CSV here")
+    spectrum.set_defaults(run=_cmd_spectrum)
 
     verify = sub.add_parser("verify", help="full bound report for a saved metric")
     verify.add_argument("--metric", required=True, help="descriptor JSON path")
     verify.add_argument("--report", default=None, help="write report JSON here")
     verify.add_argument("--level", type=int, default=3)
     verify.add_argument("--k", type=int, default=None)
+    verify.set_defaults(run=_cmd_verify)
 
     sweep = sub.add_parser("sweep", help="tabulate families over a grid")
     sweep.add_argument("--config", required=True, help="config JSON path")
     sweep.add_argument("--out", default=None, help="write sweep CSV here")
     sweep.add_argument("--level", type=int, default=None, help="override config level")
+    sweep.set_defaults(run=_cmd_sweep)
 
     ent = sub.add_parser("entropy", help="closed-form entropy bounds")
     ent_sub = ent.add_subparsers(dest="entropy_command", required=True)
@@ -79,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     coding.add_argument("--volume", type=float, required=True)
     coding.add_argument("--dim", type=int, required=True)
     coding.add_argument("--rho", type=float, required=True)
+    coding.set_defaults(run=_cmd_entropy_coding)
 
     return parser
 
@@ -112,7 +118,7 @@ def load_config(path):
     if not isinstance(doc, dict) or "version" not in doc:
         raise UsageError(f"config file {path} must carry a top-level version")
     version = doc.pop("version")
-    if version != 1:
+    if type(version) is not int or version != 1:  # True and 1.0 equal 1 too
         raise UsageError(f"unsupported config version {version!r}")
     level = doc.pop("level", 3)
     if not isinstance(level, int) or isinstance(level, bool):
@@ -237,19 +243,7 @@ def _dispatch(args) -> int:
             raise UsageError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
         if os.path.isdir(path):
             raise UsageError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-    if args.command == "mesh":
-        return _cmd_mesh_build(args)
-    if args.command == "metric":
-        return _cmd_metric_make(args)
-    if args.command == "spectrum":
-        return _cmd_spectrum(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "entropy":
-        return _cmd_entropy_coding(args)
-    raise UsageError(f"unknown command {args.command!r}")
+    return args.run(args)
 
 
 def main(argv=None) -> int:

@@ -4,8 +4,8 @@ Every member is a ConformalMetric e^{2u} sigma in sigma's conformal class.
 
 Each family is one ScalarField: values, closed-form Laplacian,
 extrema and the two chart quadratures.  The stretcher and the dumbbell
-share one: SpikeField puts the same power spike (_PowerSpike) at each of
-its anchors, one for the stretcher and two for the dumbbell.
+share one: SpikeField puts the same power spike at each of its anchors,
+one for the stretcher and two for the dumbbell.
 
 All families are built from one C-infinity plateau bump
 
@@ -14,7 +14,7 @@ All families are built from one C-infinity plateau bump
 with s1 = (a - |t|)/(a/2) and s2 = (|t| - a/2)/(a/2): identically 1 on
 [-a/2, a/2], identically 0 outside (-a, a).  Its first two derivatives
 come from the same closed forms, so curvature formulas are analytic.
-Each jet routine (_q_jet, bump_jet, _PowerSpike.affine_jet) takes an
+Each jet routine (_q_jet, bump_jet, SpikeField.affine_jet) takes an
 order, the number of derivatives it builds: values of u, the spike and
 radial tables and the bounds scan take order 0, the radial Laplacian
 order 1, and the other Laplacians, their integrals and the shrinker's
@@ -250,35 +250,47 @@ def _shrinker(surface, eps, delta):
 MIN_SPIKE_DELTA = 0.005
 
 
-class _PowerSpike:
-    """Radial profile rho(r) = a(r) + b(r) C: inner plateau,
+class SpikeField(conformal.ScalarField):
+    """One power spike rho(d_sigma(., a)) at each anchor a over the constant
+    background C: one anchor makes the stretcher, two the dumbbell.
+
+    The radial profile is rho(r) = a(r) + b(r) C: inner plateau,
     r^{-(1-delta/2)} power zone on [exp(-1/delta), eps/2], constant C past
-    eps; conformal factor e^u = rho.
+    eps; the conformal factor is e^u = rho.  The zone grids, two in log r
+    and one in r, keep the C-free columns r, dr over the Simpson variable,
+    sinh r, the Simpson weights, a and b.
 
-    The spike is C-free: the methods that depend on C take it.  Its zone
-    grids, two in log r and one in r, keep the C-free columns r, dr over
-    the Simpson variable, sinh r, the Simpson weights, a and b.
-    """
+    The area is quadratic in C, so normalizing_C takes its positive root
+    (conformal.normalize_area_quadratic)."""
 
-    def __init__(self, base_area, eps, delta):
-        self.base_area = base_area
-        self.eps = eps
-        self.delta = delta
-        self.p_exp = 1.0 - 0.5 * delta
-        self.r1 = math.exp(-1.0 / delta)
-        self.log_amp = -0.5 * delta * math.log(0.5 * eps) + 0.5 * math.log(
-            base_area * delta / (16.0 * math.pi)
+    def __init__(self, base_area, anchors, eps, delta):
+        self.base_area = float(base_area)
+        self.anchors = tuple(complex(a) for a in anchors)
+        self.eps = float(eps)
+        self.delta = float(delta)
+        self.C = 0.0
+        self.p_exp = 1.0 - 0.5 * self.delta
+        self.r1 = math.exp(-1.0 / self.delta)
+        self.log_amp = -0.5 * self.delta * math.log(0.5 * self.eps) + 0.5 * math.log(
+            self.base_area * self.delta / (16.0 * math.pi)
         )
-        self.log_inner = self.log_amp + self.p_exp * (math.log(2.0) + 1.0 / delta)
+        self.log_inner = self.log_amp + self.p_exp * (math.log(2.0) + 1.0 / self.delta)
         self.grids = []
         for x, log in (
             (np.linspace(math.log(0.5 * self.r1), math.log(self.r1), 2049), True),
-            (np.linspace(math.log(self.r1), math.log(0.5 * eps), 2049), True),
-            (np.linspace(0.5 * eps, eps, 2049), False),
+            (np.linspace(math.log(self.r1), math.log(0.5 * self.eps), 2049), True),
+            (np.linspace(0.5 * self.eps, self.eps, 2049), False),
         ):
             r = np.exp(x) if log else x
             (a, b), = self.affine_jet(r, 0)
             self.grids.append((r, r if log else 1.0, np.sinh(r), _simpson_weights(x), a, b))
+
+    def normalizing_C(self, target):
+        return conformal.normalize_area_quadratic(
+            lambda c: self.with_C(c).exp_integral(2), target
+        )
+
+    # -- the radial profile, r the sigma-distance to an anchor --------------
 
     def affine_jet(self, r, order=2):
         """rho and its first `order` r-derivatives at radii r, as pairs
@@ -305,17 +317,17 @@ class _PowerSpike:
             jet.append((pe[2] * bv + 2.0 * pe[1] * bd + pe[0] * bdd, -pe[2]))
         return tuple(jet)
 
-    def rho(self, r, C):
+    def rho(self, r):
         (a, b), = self.affine_jet(r, 0)
-        return a + b * C
+        return a + b * self.C
 
-    def u_values(self, r, C):
-        return np.log(self.rho(r, C))
+    def u_values(self, r):
+        return np.log(self.rho(r))
 
-    def laplacian(self, r, C):
+    def radial_laplacian(self, r):
         """u'' + coth(r) u' for the radial profile u = log rho."""
         r = np.asarray(r, dtype=float)
-        rv, rd, rdd = (a + b * C for a, b in self.affine_jet(r))
+        rv, rd, rdd = (a + b * self.C for a, b in self.affine_jet(r))
         u1 = rd / rv
         u2 = rdd / rv - u1 * u1
         coth_term = np.zeros_like(r)
@@ -330,19 +342,19 @@ class _PowerSpike:
             total += _simpson_apply(weights, fn(r, a, b) * TWO_PI * sinh * dr)
         return total
 
-    def ball_exp_integral(self, power, C):
-        """Integral of e^{power u} over the sigma-ball of radius eps."""
+    def ball_exp_integral(self, power):
+        """Integral of e^{power u} over one sigma-ball of radius eps."""
         plateau = math.exp(power * self.log_inner) * (
             4.0 * math.pi * math.sinh(0.25 * self.r1) ** 2
         )
-        return plateau + self._integrate(lambda r, a, b: (a + b * C) ** power)
+        return plateau + self._integrate(lambda r, a, b: (a + b * self.C) ** power)
 
-    def ball_laplacian_integral(self, C):
-        return self._integrate(lambda r, a, b: self.laplacian(r, C))
+    def ball_laplacian_integral(self):
+        return self._integrate(lambda r, a, b: self.radial_laplacian(r))
 
-    def radial_segment_length(self, C):
+    def radial_segment_length(self):
         """Quadrature g-length of the radial segment r in [r1, eps/2]."""
-        return _simpson_log(lambda r: self.rho(r, C), self.r1, 0.5 * self.eps)
+        return _simpson_log(self.rho, self.r1, 0.5 * self.eps)
 
     def radial_length_bound(self):
         """Closed-form lower bound for the power-zone radial g-length."""
@@ -377,7 +389,7 @@ class _PowerSpike:
 
         return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
-    def annulus_area(self, C):
+    def annulus_area(self):
         """g-area of the ramp annulus [r1, eps/2].
 
         The ramp is linear in the g-radial coordinate there, so this area
@@ -386,12 +398,12 @@ class _PowerSpike:
         """
 
         def fn(r):
-            rv = self.rho(r, C)
+            rv = self.rho(r)
             return rv * rv * TWO_PI * np.sinh(r)
 
         return _simpson_log(fn, self.r1, 0.5 * self.eps)
 
-    def sampled_min_u(self, C):
+    def sampled_min_u(self):
         """min u over radii through both transition zones, out to eps."""
         r = np.concatenate(
             [
@@ -399,37 +411,9 @@ class _PowerSpike:
                 np.linspace(0.5 * self.eps, self.eps, 4097),
             ]
         )
-        return float(np.min(self.u_values(r, C)))
+        return float(np.min(self.u_values(r)))
 
-    def probe_radii(self):
-        """Radii resolving the inner and outer transition zones."""
-        return np.concatenate(
-            [
-                np.geomspace(0.25 * self.r1, 0.5 * self.eps, 4097),
-                np.linspace(0.5 * self.eps, self.eps, 1025)[1:],
-            ]
-        )
-
-
-class SpikeField(conformal.ScalarField):
-    """One power spike rho(d_sigma(., a)) at each anchor a over the constant
-    background C: one anchor makes the stretcher, two the dumbbell.
-
-    The area is quadratic in C, so normalizing_C takes its positive root
-    (conformal.normalize_area_quadratic)."""
-
-    def __init__(self, base_area, anchors, eps, delta):
-        self.base_area = float(base_area)
-        self.anchors = tuple(complex(a) for a in anchors)
-        self.eps = float(eps)
-        self.delta = float(delta)
-        self.C = 0.0
-        self.spike = _PowerSpike(self.base_area, self.eps, self.delta)
-
-    def normalizing_C(self, target):
-        return conformal.normalize_area_quadratic(
-            lambda c: self.with_C(c).exp_integral(2), target
-        )
+    # -- the chart rules ----------------------------------------------------
 
     def _log_C(self):
         """log C of the background; a C <= 0 can only have been stored."""
@@ -456,29 +440,35 @@ class SpikeField(conformal.ScalarField):
 
     def values(self, x, y):
         logC = self._log_C()
-        return self._add_spikes(x, y, logC, lambda r: self.spike.u_values(r, self.C) - logC)
+        return self._add_spikes(x, y, logC, lambda r: self.u_values(r) - logC)
 
     def laplacian(self, x, y):
-        return self._add_spikes(x, y, 0.0, lambda r: self.spike.laplacian(r, self.C))
+        return self._add_spikes(x, y, 0.0, self.radial_laplacian)
 
     def bounds(self):
         logC = self._log_C()
-        return min(self.spike.sampled_min_u(self.C), logC), self.spike.log_inner
+        return min(self.sampled_min_u(), logC), self.log_inner
 
     def exp_integral(self, power):
         n = len(self.anchors)
         ball_sigma = 4.0 * math.pi * math.sinh(0.5 * self.eps) ** 2
-        return n * self.spike.ball_exp_integral(power, self.C) + self.C**power * (
+        return n * self.ball_exp_integral(power) + self.C**power * (
             self.base_area - n * ball_sigma
         )
 
     def laplacian_integral(self):
-        return len(self.anchors) * self.spike.ball_laplacian_integral(self.C)
+        return len(self.anchors) * self.ball_laplacian_integral()
 
     def sign_probe_points(self):
         # the spike is radial, so one ray per anchor samples every value
-        # the sign scan could see
-        radii = self.spike.probe_radii()
+        # the sign scan could see; the radii resolve the inner and outer
+        # transition zones
+        radii = np.concatenate(
+            [
+                np.geomspace(0.25 * self.r1, 0.5 * self.eps, 4097),
+                np.linspace(0.5 * self.eps, self.eps, 1025)[1:],
+            ]
+        )
         rays = np.concatenate([polar_points(a, radii) for a in self.anchors])
         return rays.real, rays.imag
 
@@ -730,7 +720,7 @@ def from_descriptor(doc, surface=None):
     if not isinstance(doc, dict):
         raise UsageError(f"a descriptor is a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
-    if version != 1:
+    if type(version) is not int or version != 1:  # True and 1.0 equal 1 too
         raise UsageError(f"unsupported descriptor version {version!r}")
     family = doc.get("family")
     spec = _family(family)

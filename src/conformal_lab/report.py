@@ -272,10 +272,10 @@ def verify_metric(metric, mesh, config=None) -> BoundsReport:
         ))
 
     if family in ("stretcher", "dumbbell"):
-        spike = metric.field.spike
+        field = metric.field
         entries.append(_check(
-            "radial_spike_length", "families._PowerSpike.radial_segment_length",
-            spike.radial_segment_length(metric.C), spike.radial_length_bound(), ">=", SLACK_QUAD,
+            "radial_spike_length", "families.SpikeField.radial_segment_length",
+            field.radial_segment_length(), field.radial_length_bound(), ">=", SLACK_QUAD,
         ))
 
     if family == "dumbbell":

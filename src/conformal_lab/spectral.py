@@ -426,30 +426,30 @@ def dumbbell_test_bound(metric, system: SpectralSystem) -> DumbbellBound:
             f"dumbbell bound asked of family {getattr(metric, 'family', None)!r}"
         )
     mesh = system.mesh
-    spike = metric.field.spike
+    field = metric.field
     fs = []
-    for anchor in metric.field.anchors:
-        f_raw = spike.ramp_values(distances_to(mesh.xy[:, 0], mesh.xy[:, 1], anchor))
+    for anchor in field.anchors:
+        f_raw = field.ramp_values(distances_to(mesh.xy[:, 0], mesh.xy[:, 1], anchor))
         f = np.zeros(mesh.n_rep)
         f[mesh.rep] = f_raw
         if not f.any():
             raise DomainError(
                 f"no level-{mesh.level} mesh vertex lies within eps/2 = "
-                f"{0.5 * spike.eps!r} of the dumbbell anchor {anchor!r}"
+                f"{0.5 * field.eps!r} of the dumbbell anchor {anchor!r}"
             )
         fs.append(f)
     if np.any((fs[0] != 0.0) & (fs[1] != 0.0)):
         raise ParameterError("dumbbell test-function supports overlap")
     r1 = rayleigh(system, fs[0])
     r2 = rayleigh(system, fs[1])
-    dR = spike.radial_length_bound()
+    dR = field.radial_length_bound()
     return DumbbellBound(
         rayleigh_1=r1,
         rayleigh_2=r2,
         total=r1 + r2,
         analytic_bound=metric.surface.total_area / (4.0 * dR * dR),
         delta_R=dR,
-        ramp_energy_pair=2.0 * spike.ramp_energy(),
+        ramp_energy_pair=2.0 * field.ramp_energy(),
     )
 
 

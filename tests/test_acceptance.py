@@ -82,7 +82,7 @@ def test_criterion_03_dumbbell_lambda1_collapse(surface, mesh3):
         # The ramp is linear in the g-radial coordinate, so its Dirichlet
         # energy equals the g-area of the two transition annuli divided by
         # delta_R^2; both sides are independent quadratures of the profile.
-        identity = 2.0 * metric.field.spike.annulus_area(metric.C) / bound.delta_R**2
+        identity = 2.0 * metric.field.annulus_area() / bound.delta_R**2
         rel_gap = abs(bound.ramp_energy_pair - identity) / identity
         assert rel_gap <= 0.05, (delta, rel_gap)
         assert bound.ramp_energy_pair <= bound.analytic_bound * 1.01, delta
@@ -126,11 +126,11 @@ def test_criterion_05_stretcher_radial_length(surface):
     worst = math.inf
     for delta in (0.2, 0.1, 0.05, 0.01):
         metric = families.make(surface, "stretcher", eps=0.2, delta=delta)
-        length = metric.field.spike.radial_segment_length(metric.C)
-        bound = metric.field.spike.radial_length_bound()
+        length = metric.field.radial_segment_length()
+        bound = metric.field.radial_length_bound()
         worst = min(worst, length / bound)
     anchor = families.make(surface, "stretcher", eps=0.2, delta=0.01)
-    bound_001 = anchor.field.spike.radial_length_bound()
+    bound_001 = anchor.field.radial_length_bound()
     elapsed = time.perf_counter() - t0
     ok = worst >= 0.99 and abs(bound_001 - 3.864) <= 1e-3 and elapsed < 30.0
     _stamp(

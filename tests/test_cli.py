@@ -513,6 +513,10 @@ def test_sweep_config_version_required(tmp_path, capsys):
     cfg.write_text(json.dumps({"level": 2, "grid": []}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "version" in capsys.readouterr().err
+    for version in (True, 1.0):
+        cfg.write_text(json.dumps({"version": version, "level": 0, "grid": []}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"unsupported config version {version!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

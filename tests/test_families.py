@@ -154,15 +154,15 @@ def test_bump_jet_of_each_order_is_the_full_jets_prefix(order, a):
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("eps, delta, C", [(0.2, 0.05, 0.98), (0.1, 0.01, 0.999)])
 def test_spike_jet_of_each_order_is_the_full_jets_prefix(surface, order, eps, delta, C):
-    spike = families._PowerSpike(surface.total_area, eps, delta)
-    r = np.concatenate([jet_radii(spike.r1), np.geomspace(spike.r1, 0.5 * eps, 2001),
+    field = families.SpikeField(surface.total_area, (0j,), eps, delta).with_C(C)
+    r = np.concatenate([jet_radii(field.r1), np.geomspace(field.r1, 0.5 * eps, 2001),
                         jet_radii(eps)])
-    jet, full = spike.affine_jet(r, order), spike.affine_jet(r)
+    jet, full = field.affine_jet(r, order), field.affine_jet(r)
     assert len(jet) == order + 1
     for (a, b), (a_full, b_full) in zip(jet, full):
         assert np.array_equal(a, a_full)
         assert np.array_equal(b, b_full)
-    assert np.array_equal(spike.rho(r, C), full[0][0] + full[0][1] * C)
+    assert np.array_equal(field.rho(r), full[0][0] + full[0][1] * C)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -252,20 +252,20 @@ def test_shrinker_collar_floor(surface, mesh3, eps):
 def test_stretcher_peak_and_segment_oracles(surface, delta, u_max, seg):
     metric = families.make(surface, "stretcher", eps=0.2, delta=delta)
     assert metric.u_max == pytest.approx(u_max, rel=1e-9)
-    spike = metric.field.spike
-    assert spike.radial_segment_length(metric.C) == pytest.approx(seg, rel=1e-9)
+    field = metric.field
+    assert field.radial_segment_length() == pytest.approx(seg, rel=1e-9)
     # The power zone is an exact log profile, so the quadrature length and
     # the closed-form lower bound coincide to roundoff.
-    assert spike.radial_segment_length(metric.C) == pytest.approx(
-        spike.radial_length_bound(), rel=1e-12
+    assert field.radial_segment_length() == pytest.approx(
+        field.radial_length_bound(), rel=1e-12
     )
 
 
 def test_stretcher_peak_formula(surface):
     eps, delta = 0.2, 0.1
     metric = families.make(surface, "stretcher", eps=eps, delta=delta)
-    spike = metric.field.spike
-    expected = spike.log_amp + (1.0 - 0.5 * delta) * (math.log(2.0) + 1.0 / delta)
+    field = metric.field
+    expected = field.log_amp + (1.0 - 0.5 * delta) * (math.log(2.0) + 1.0 / delta)
     assert metric.u_max == pytest.approx(expected, rel=1e-12)
 
 
@@ -333,8 +333,8 @@ def test_dumbbell_anchors_are_mesh_vertices(surface, mesh3):
 )
 def test_dumbbell_separation_oracles(surface, delta, delta_R):
     metric = families.make(surface, "dumbbell", eps=0.2, delta=delta)
-    spike = metric.field.spike
-    assert spike.radial_length_bound() == pytest.approx(delta_R, rel=1e-9)
+    field = metric.field
+    assert field.radial_length_bound() == pytest.approx(delta_R, rel=1e-9)
 
 
 def test_dumbbell_profile_is_symmetric(surface):
@@ -357,7 +357,7 @@ def test_dumbbell_spikes_have_disjoint_supports(surface):
 
 
 def _recording(fn, seen):
-    return lambda r, C: seen.append(r) or fn(r, C)
+    return lambda r: seen.append(r) or fn(r)
 
 
 def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
@@ -373,13 +373,13 @@ def test_spike_field_evaluates_only_inside_its_balls(surface, mesh3):
         # every anchor's full spike, deviation 0 past eps only by arithmetic
         expected_u = logC
         for r in radii:
-            expected_u = expected_u + (field.spike.u_values(r, field.C) - logC)
+            expected_u = expected_u + (field.u_values(r) - logC)
         expected_lap = functools.reduce(
-            np.add, [field.spike.laplacian(r, field.C) for r in radii]
+            np.add, [field.radial_laplacian(r) for r in radii]
         )
         seen_u, seen_lap = [], []
-        field.spike.u_values = _recording(field.spike.u_values, seen_u)
-        field.spike.laplacian = _recording(field.spike.laplacian, seen_lap)
+        field.u_values = _recording(field.u_values, seen_u)
+        field.radial_laplacian = _recording(field.radial_laplacian, seen_lap)
         u = field.values(x, y)
         lap = field.laplacian(x, y)
         assert np.array_equal(u, expected_u)
@@ -399,10 +399,10 @@ def test_dumbbell_ramp_identity(surface):
     # energy equals annulus area / delta_R^2 exactly (conformal invariance
     # reduces both to the same sigma quadrature).
     metric = families.make(surface, "dumbbell", eps=0.2, delta=0.1)
-    spike = metric.field.spike
-    energy = spike.ramp_energy()
-    area = spike.annulus_area(metric.C)
-    dR = spike.radial_length_bound()
+    field = metric.field
+    energy = field.ramp_energy()
+    area = field.annulus_area()
+    dR = field.radial_length_bound()
     assert energy == pytest.approx(area / (dR * dR), rel=1e-12)
 
 
@@ -544,6 +544,40 @@ def test_spike_and_radial_quadratures_are_pinned(surface, family, params, C_repr
     assert tuple(map(repr, field.bounds())) == (lo_repr, hi_repr)
 
 
+@pytest.mark.parametrize("family", ["stretcher", "dumbbell"])
+@pytest.mark.parametrize(
+    "eps, delta, length_repr, annulus_repr, energy_repr, bound_repr",
+    [
+        (0.2, 0.2, "0.5286582112763774", "0.6551815540741363",
+         "2.344291956571448", "0.528658211276377"),
+        (0.2, 0.1, "1.0102256697012204", "0.8434337602113442",
+         "0.8264454275696773", "1.0102256697012202"),
+        (0.2, 0.05, "1.5989233908037044", "0.9224864891636909",
+         "0.3608317148845319", "1.5989233908037042"),
+        (0.2, 0.01, "3.8644604625599737", "0.9794855058908031",
+         "0.06558737916471988", "3.86446046255998"),
+        (0.1, 0.2, "0.4061115003862401", "0.5188171861336542",
+         "3.145746902406213", "0.40611150038623994"),
+        (0.1, 0.1, "0.9343337201547108", "0.7911259505413719",
+         "0.9062365725440157", "0.9343337201547107"),
+        (0.1, 0.05, "1.5487005198359904", "0.899573734470005",
+         "0.3750609750033057", "1.5487005198359902"),
+        (0.1, 0.01, "3.843159412315881", "0.9753627515645452",
+         "0.06603730904104985", "3.8431594123158774"),
+    ],
+)
+def test_spike_ramp_quadratures_are_pinned(surface, family, eps, delta, length_repr,
+                                           annulus_repr, energy_repr, bound_repr):
+    # the default grid's radial-length and ramp quadratures of the spike,
+    # which feed radial_spike_length and the dumbbell bound, bit for bit;
+    # rho does not depend on C on [r1, eps/2], so both families share a row
+    field = families.make(surface, family, eps=eps, delta=delta).field
+    assert repr(field.radial_segment_length()) == length_repr
+    assert repr(field.annulus_area()) == annulus_repr
+    assert repr(field.ramp_energy()) == energy_repr
+    assert repr(field.radial_length_bound()) == bound_repr
+
+
 @pytest.mark.parametrize(
     "family, params, u_sha, weights_sha",
     [
@@ -604,8 +638,8 @@ def test_each_member_builds_its_table_once(surface, monkeypatch, family):
 #: power-zone radii, the radial w
 TABLE_ARRAY = {
     "shrinker": lambda field: field.phi,
-    "stretcher": lambda field: field.spike.grids[1][0],
-    "dumbbell": lambda field: field.spike.grids[1][0],
+    "stretcher": lambda field: field.grids[1][0],
+    "dumbbell": lambda field: field.grids[1][0],
     "nonpositive_radial": lambda field: field.w,
 }
 
@@ -743,6 +777,11 @@ def test_from_descriptor_rejects_unknown_family(surface):
 def test_from_descriptor_rejects_bad_version(surface):
     with pytest.raises(UsageError):
         families.from_descriptor({"version": 0, "family": "base"}, surface=surface)
+    # a bool and a float compare equal to 1 but are not the integer version
+    for version in (True, 1.0):
+        with pytest.raises(UsageError, match=f"unsupported descriptor version {version!r}"):
+            families.from_descriptor({"version": version, "family": "base", "params": {},
+                                      "C": 0.0}, surface=surface)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import pytest
@@ -286,7 +287,7 @@ _SPECTRUM_AND_SYSTOLE = [
 ]
 _SPIKE = [
     ("radial_spike_length", ">=", "pass", True,
-     "families._PowerSpike.radial_segment_length"),
+     "families.SpikeField.radial_segment_length"),
 ]
 _KATOK = [("katok_factor_cap", "<=", "pass", True, "entropy.katok_bounds")]
 
@@ -316,6 +317,11 @@ def test_report_layout(surface, mesh3, member):
     layout = [(e.name, e.relation, e.status, e.enforced, e.refs) for e in report.entries]
     assert layout == REPORT_LAYOUTS[member["family"]]
     for e in report.entries:
+        # every refs label names a live module attribute
+        module, *path = e.refs.split(".")
+        target = importlib.import_module(f"conformal_lab.{module}")
+        for name in path:
+            target = getattr(target, name)
         if e.status == "not_applicable":
             assert e.detail == ("needs nonpositive curvature"
                                 if e.name == "max_u_schwarz_bound" else
