@@ -357,7 +357,9 @@ class SpikeField(conformal.ScalarField):
         return _simpson_log(self.rho, self.r1, 0.5 * self.eps)
 
     def radial_length_bound(self):
-        """Closed-form lower bound for the power-zone radial g-length."""
+        """Power-zone radial g-length in closed form, exact, not a bound: on
+        [r1, eps/2] the spike is the pure power law, so the integral of rho
+        is sqrt(A / (4 pi delta)) (1 - (eps/2)^(-delta/2) e^(-1/2))."""
         shrink = (0.5 * self.eps) ** (-0.5 * self.delta) * math.exp(-0.5)
         return (
             (1.0 / math.sqrt(self.delta))

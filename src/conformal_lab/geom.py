@@ -5,8 +5,9 @@ Curves are sampled in disk coordinates and measured by midpoint sampling
 of e^u; no geodesic is integrated here.  The diameter is exact on the
 g-weighted edge graph: eccentricity-bound pruning, where each Dijkstra run
 also bounds the eccentricities from its images under the octagon
-symmetries that the metric's edge weights keep.  The Green residuals are
-checked by the acceptance tests only, not by verify reports.
+symmetries that the metric's edge weights keep, read off the mesh's
+subdivision.  The Green residuals are checked by the acceptance tests
+only, not by verify reports.
 
 One sampler serves each sigma-chart: _polar_u, u on hyp.polar_points
 around a point in blocks of rings, and hyp.fermi_points(r, s) at signed
@@ -15,7 +16,6 @@ a base metric dr^2 + area(r)^2 dt^2, area sinh r and cosh r, so one
 _green_residual serves the ball and the collar.
 """
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, TopologyError, UsageError
 from .hyp import _as_complex, disk_distance, fermi_points, pair_distances, polar_points
-from .surface import GLUE_TOL
+from .surface import FAN_SYMMETRIES
 
 log = logging.getLogger(__name__)
 
@@ -125,57 +125,53 @@ class _DiameterGraph(NamedTuple):
     edge_perm: np.ndarray    # (n_sym, n_edge) int32
 
 
-def _grid_keys(z):
-    """One int64 per point: its nearest point of the 2**-16 grid in the disk."""
-    k = np.rint(np.column_stack([z.real, z.imag]) * 2.0**16).astype(np.int64)
-    return k[:, 0] * 2**18 + k[:, 1]
-
-
 def _octagon_symmetries(mesh):
     """The maps z -> e^{ik pi/4} z and z -> e^{ik pi/4} conj(z) that carry
     the glued mesh onto itself, identity first, as (rep_inverse, edge_perm).
 
-    A map is kept when it sends raw vertices to raw vertices within
-    GLUE_TOL, raw edges to raw edges, and glued copies to glued copies.
-    Images are matched to vertices by the key of their nearest 2**-16
-    grid point, a cell far wider than the round-off of an image (< 1e-15)
-    and far narrower than the vertex spacing (1.3e-3 at level 8); a missed
-    lookup lands on another vertex, fails GLUE_TOL and drops the map.
+    Each map's raw vertex map is replayed through the subdivision from its
+    row of surface.FAN_SYMMETRIES: the vertex that splits edge (i, j) goes
+    to the one that splits (g i, g j).  The replay is exact, since interior
+    edges split at Euclidean midpoints and these maps are linear, boundary
+    edges at hyperbolic midpoints and these maps are isometries.  A map is
+    kept when it sends glued copies to glued copies and raw edges to raw
+    edges.
     """
-    z = mesh.xy[:, 0] + 1j * mesh.xy[:, 1]
-    n_raw = len(z)
+    n_raw = mesh.n_raw
     edge_keys = mesh.edges.min(axis=1) * n_raw + mesh.edges.max(axis=1)
     edge_order = np.argsort(edge_keys)
     sorted_keys = edge_keys[edge_order]
-    vertex_keys = _grid_keys(z)
-    vertex_order = np.argsort(vertex_keys)
-    sorted_vertex_keys = vertex_keys[vertex_order]
+    levels = []  # (first new vertex, split edges, their sorted keys, key order)
+    n = FAN_SYMMETRIES.shape[1]
+    for split in mesh.splits:
+        keys = split.min(axis=1) * n + split.max(axis=1)
+        order = np.argsort(keys)
+        levels.append((n, split, keys[order], order))
+        n += len(split)
     rep_inverse = np.empty((16, mesh.n_rep), dtype=np.int32)
     edge_perm = np.empty((16, len(edge_keys)), dtype=np.int32)
     rep_inverse[0] = np.arange(mesh.n_rep)
     edge_perm[0] = np.arange(len(edge_keys))
     count = 1
-    for flip in (False, True):
-        for k in range(1 - flip, 8):  # the identity is already in
-            image = (np.conj(z) if flip else z) * cmath.exp(1j * k * math.pi / 4.0)
-            pos = np.searchsorted(sorted_vertex_keys, _grid_keys(image))
-            vmap = vertex_order[np.minimum(pos, n_raw - 1)]
-            if np.abs(image - z[vmap]).max() > GLUE_TOL:
-                continue
-            if np.unique(vmap).size != n_raw:
-                continue
-            rep_map = np.empty(mesh.n_rep, dtype=np.int64)
-            rep_map[mesh.rep] = mesh.rep[vmap]
-            if not np.array_equal(rep_map[mesh.rep], mesh.rep[vmap]):
-                continue
-            ends = vmap[mesh.edges]
-            keys = ends.min(axis=1) * n_raw + ends.max(axis=1)
-            pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-            if not np.array_equal(sorted_keys[pos], keys):
-                continue
-            rep_inverse[count, rep_map] = np.arange(mesh.n_rep)
-            edge_perm[count] = edge_order[pos]
-            count += 1
+    vmap = np.empty(n_raw, dtype=np.int64)
+    for fan_map in FAN_SYMMETRIES[1:]:  # the identity is already in
+        vmap[:len(fan_map)] = fan_map
+        for start, split, split_keys, order in levels:
+            ends = vmap[split]
+            pos = np.searchsorted(split_keys, ends.min(axis=1) * start + ends.max(axis=1))
+            vmap[start:start + len(split)] = start + order[pos]
+        rep_map = np.empty(mesh.n_rep, dtype=np.int64)
+        rep_map[mesh.rep] = mesh.rep[vmap]
+        if not np.array_equal(rep_map[mesh.rep], mesh.rep[vmap]):
+            continue
+        ends = vmap[mesh.edges]
+        keys = ends.min(axis=1) * n_raw + ends.max(axis=1)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        if not np.array_equal(sorted_keys[pos], keys):
+            continue
+        rep_inverse[count, rep_map] = np.arange(mesh.n_rep)
+        edge_perm[count] = edge_order[pos]
+        count += 1
     return rep_inverse[:count], edge_perm[:count]
 
 
@@ -215,10 +211,10 @@ def diameter_estimate(metric, mesh, samples_per_edge=SAMPLES_PER_EDGE) -> float:
     O(n) in the number of vertices.
 
     Symmetry pruning: the octagon's rotations by pi/4 and its reflections
-    that carry the mesh onto itself are found once per mesh.  Each metric
-    keeps those that preserve every edge weight to 1e-13 relative, so a
-    run from v also gives the distances from every image g v, and all of
-    them tighten the bounds.  The diameter itself comes only from real
+    that carry the mesh onto itself are read off its subdivision once per
+    mesh.  Each metric keeps those that preserve every edge weight to 1e-13
+    relative, so a run from v also gives the distances from every image
+    g v, and all of them tighten the bounds.  The diameter itself comes only from real
     runs, and the pruning margin covers the round-off of the symmetry.
     """
     from scipy.sparse import csr_matrix

@@ -37,8 +37,8 @@ fill-reducing order is computed once per mesh: a geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973) of the
 representatives' disk coordinates, cached on the mesh with K permuted by
 it and the positions of its diagonal.  Per metric only the diagonal
-changes, so the factored matrix is a copy of the permuted K with SHIFT M
-subtracted there; it is symmetric positive definite, so SuperLU factors
+changes, so _factor copies the permuted K, subtracts SHIFT M there and
+factors the copy; it is symmetric positive definite, so SuperLU factors
 it in that order without pivoting.  ARPACK iterates in that order too,
 so a step permutes nothing; only the returned vectors are put back in
 vertex order.  ARPACK starts from a fixed random vector and draws its
@@ -156,36 +156,21 @@ def _factor_pattern(mesh):
     return mesh._cache["dissection_order"]
 
 
-def _shifted_stiffness(system):
-    """K - SHIFT * M in the mesh's dissection order.  Only the diagonal
-    depends on the metric, so SHIFT * M is subtracted from a copy of the
-    cached permuted stiffness's diagonal entries."""
-    perm, K_perm, diagonal = _factor_pattern(system.mesh)
-    shifted = K_perm.copy()
-    shifted.data[diagonal] -= SHIFT * system.mass[perm]
-    return shifted
-
-
 def _factor(system):
     """(perm, SuperLU factor of K - SHIFT * M in the mesh's dissection order):
     lu.solve(b[perm]) is ((K - SHIFT * M)^{-1} b)[perm], for a vector or an
-    (n, m) block."""
-    perm = _factor_pattern(system.mesh)[0]
+    (n, m) block.  Only the diagonal depends on the metric, so SHIFT * M is
+    subtracted from a copy of the cached permuted stiffness there."""
+    perm, K_perm, diagonal = _factor_pattern(system.mesh)
+    shifted = K_perm.copy()
+    shifted.data[diagonal] -= SHIFT * system.mass[perm]
     lu = spla.splu(
-        _shifted_stiffness(system),
+        shifted,
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
     return perm, lu
-
-
-def _stiffness_norm(mesh) -> float:
-    """||K||_inf of the mesh's stiffness, cached on the mesh."""
-    if "stiffness_norm" not in mesh._cache:
-        abs_K = np.abs(cotangent_stiffness(mesh))
-        mesh._cache["stiffness_norm"] = float(np.max(abs_K.sum(axis=1)))
-    return mesh._cache["stiffness_norm"]
 
 
 @dataclass
@@ -271,7 +256,7 @@ def _residuals(system, vals, vecs):
     K = system.stiffness
     mass = system.mass
     abs_K = sp.csr_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
-    norm_K = _stiffness_norm(system.mesh)
+    norm_K = float(np.max(abs_K.sum(axis=1)))
     norm_M = float(np.max(mass))
     weighted, scaled, floor = (np.empty(len(vals)) for _ in range(3))
     for j, lam in enumerate(vals):

@@ -34,6 +34,13 @@ from .hyp import (
 
 GLUE_TOL = 1e-9  # spatial tolerance for matching pairing images to vertices
 TRI_SIDES = [0, 1, 1, 2, 2, 0]  # corner pairs of the sides ab, bc, ca of (a, b, c)
+# the fan's 9 vertices (centre, corners) under z -> e^{ik pi/4} z, then under
+# z -> e^{ik pi/4} conj(z), k = 0..7; corner c, at angle (c - 1/2) pi/4,
+# goes to corner c + k, then to corner 1 - c + k; row 0 is the identity
+FAN_SYMMETRIES = np.array(
+    [[0, *(1 + (c + k) % 8 for c in range(8))] for k in range(8)]
+    + [[0, *(1 + (1 - c + k) % 8 for c in range(8))] for k in range(8)]
+)
 
 
 class SidePairing(NamedTuple):
@@ -108,8 +115,9 @@ class SurfaceMesh:
 
     Raw vertices keep their disk coordinates (boundary copies are not
     merged); `rep` maps each raw vertex to its representative index on the
-    closed surface.  Lengths and areas are exact hyperbolic quantities of
-    the geodesic triangulation.
+    closed surface; `splits[l]` holds the raw edge that each vertex added by
+    level l + 1 splits, in vertex order.  Lengths and areas are exact
+    hyperbolic quantities of the geodesic triangulation.
     """
 
     xy: np.ndarray            # (n_raw, 2) disk coordinates
@@ -121,6 +129,7 @@ class SurfaceMesh:
     edge_len_sigma: np.ndarray
     tri_area_sigma: np.ndarray
     boundary_edge_count: int
+    splits: tuple             # per level, (n_new, 2) raw edges split
     # derived data, one entry per producing module, filled on first use;
     # dataclasses.replace starts it empty
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -161,7 +170,10 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
     Each level splits every triangle (a, b, c) into four at the midpoints
     of ab, bc and ca.  New vertices are numbered in the order their edges
     are first met, triangle by triangle, and a boundary edge splits at the
-    hyperbolic midpoint of its endpoints taken in that order.
+    hyperbolic midpoint of its endpoints taken in that order.  A side's
+    boundary rows run corner to corner, and each pairing maps its source
+    side onto its target side reversed, so glue pairs are read off side
+    order, then checked against the pairing's images to GLUE_TOL.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -172,6 +184,7 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
     z = np.array([0j] + [p.z for p in domain.vertices])
     tris = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
     boundary = np.array([(1 + k, 1 + (k + 1) % 8, k) for k in range(8)])  # i, j, side
+    splits = []
     for _ in range(level):
         n = len(z)
         ends = tris[:, TRI_SIDES].reshape(-1, 2)
@@ -180,6 +193,7 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
         new_id = np.empty_like(first)
         new_id[np.argsort(first)] = np.arange(n, n + len(first))
         split = ends[np.sort(first)]  # the edge each new vertex splits, as first met
+        splits.append(split)
         new_z = 0.5 * (z[split[:, 0]] + z[split[:, 1]])
         b_keys = boundary[:, :2].min(axis=1) * n + boundary[:, :2].max(axis=1)
         b_mid = new_id[np.searchsorted(keys, b_keys)]
@@ -192,27 +206,22 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
         boundary = np.column_stack([i, b_mid, side, b_mid, j, side]).reshape(-1, 3)
 
     xy = np.column_stack([z.real, z.imag])
+
+    def side(k):
+        """Raw vertices of octagon side k, from its first corner to its last."""
+        rows = boundary[boundary[:, 2] == k]
+        return np.append(rows[:, 0], rows[-1, 1])
+
     glued = []
     for pairing in domain.pairings:
-        src_ids, tgt_ids = (
-            np.unique(boundary[boundary[:, 2] == k, :2])
-            for k in (pairing.source, pairing.target)
-        )
-        images = pairing.transform.apply_many(z[src_ids])
-        # brute force: a side has at most 2**level + 1 boundary vertices
-        gaps = np.abs(images[:, None] - z[tgt_ids][None, :])
-        nearest, dist = gaps.argmin(axis=1), gaps.min(axis=1)
-        if dist.max() > GLUE_TOL:
+        src_ids, tgt_ids = side(pairing.source), side(pairing.target)[::-1]
+        gap = np.abs(pairing.transform.apply_many(z[src_ids]) - z[tgt_ids]).max()
+        if gap > GLUE_TOL:
             raise TopologyError(
                 f"pairing {pairing.source}->{pairing.target}: boundary vertex "
-                f"image off by {dist.max():.3e} (tolerance {GLUE_TOL})"
+                f"image off by {gap:.3e} (tolerance {GLUE_TOL})"
             )
-        if np.unique(nearest).size != len(src_ids):
-            raise TopologyError(
-                f"pairing {pairing.source}->{pairing.target} is not a bijection "
-                "on boundary vertices"
-            )
-        glued.append(np.column_stack([src_ids, tgt_ids[nearest]]))
+        glued.append(np.column_stack([src_ids, tgt_ids]))
     src, tgt = np.concatenate(glued).T
     # labels number the glued classes in order of their lowest raw vertex
     n_rep, rep = connected_components(
@@ -243,6 +252,7 @@ def build_mesh(domain: FundamentalDomain, level: int) -> SurfaceMesh:
         edge_len_sigma=lengths,
         tri_area_sigma=areas,
         boundary_edge_count=len(boundary),
+        splits=tuple(splits),
     )
 
 

@@ -305,6 +305,34 @@ def test_all_pairs_of_a_tiny_mass_shrinker_exit_three(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--k", "-1", "--level", "2"], "need k >= 0, got -1"),
+    (["spectrum", "--level", "1", "--k", "14"],
+     "requested 15 eigenvalues of a 14-dim system"),
+    (["verify", "--level", "1", "--k", "20"],
+     "requested 21 eigenvalues of a 14-dim system"),
+])
+def test_eigenvalue_count_outside_the_mesh_exit_two(tmp_path, capsys, argv, message):
+    desc = tmp_path / "base.json"
+    assert main(["metric", "make", "--family", "base", "--out", str(desc)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--metric", str(desc)]) == 2
+    assert f"{message}\n" in capsys.readouterr().err
+
+
+def test_unconverged_eigensolve_exit_three(tmp_path, capsys, monkeypatch):
+    desc = tmp_path / "base.json"
+    out = tmp_path / "spectrum.csv"
+    assert main(["metric", "make", "--family", "base", "--out", str(desc)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(spectral, "ARPACK_MAXITER", 1)
+    assert main([
+        "spectrum", "--level", "3", "--k", "10", "--metric", str(desc), "--out", str(out),
+    ]) == 3
+    assert "eigensolver failed to converge within 1 iterations\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["1e-150", "1e-100"])
 @pytest.mark.parametrize("delta", ["0.1", "0.01"])
 def test_tiny_mass_shrinker_spectrum_has_finite_residuals(tmp_path, eps, delta):

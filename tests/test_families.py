@@ -255,7 +255,7 @@ def test_stretcher_peak_and_segment_oracles(surface, delta, u_max, seg):
     field = metric.field
     assert field.radial_segment_length() == pytest.approx(seg, rel=1e-9)
     # The power zone is an exact log profile, so the quadrature length and
-    # the closed-form lower bound coincide to roundoff.
+    # the closed-form length coincide to roundoff.
     assert field.radial_segment_length() == pytest.approx(
         field.radial_length_bound(), rel=1e-12
     )

@@ -5,6 +5,8 @@
 writes, through the command-line entry point of the `src` tree next to
 this script:
 
+- the mesh JSONs of levels 0 to 5, so that each mesh's coordinates,
+  glued representatives and edges are compared directly;
 - the default CLI sweep CSVs at levels 0, 3 and 5;
 - for each of 32 members (base, the 28 default-grid members and three
   off-centre ones), its descriptor, its level-3 k = 10 verify report and
@@ -64,6 +66,8 @@ def main(out_dir):
     def path(name):
         return os.path.join(out_dir, name)
 
+    for level in range(6):
+        run("mesh", "build", "--level", level, "--out", path(f"mesh_l{level}.json"))
     with open(path("sweep_config.json"), "w") as fh:
         json.dump({"version": 1}, fh)
     for level in (0, 3, 5):
